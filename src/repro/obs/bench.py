@@ -1001,6 +1001,7 @@ def _bench_server_technique(
     ``server.server_matches`` gates both runs bit-for-bit against a
     direct ``router.estimate_batch`` call.  Latency percentiles are
     client-observed (window send to reply arrival), in milliseconds.
+    The cell's ``metrics`` cover the build and the batched run only.
     """
     from ..serving import ShardedHistogram, ShardRouter
 
@@ -1030,6 +1031,9 @@ def _bench_server_technique(
                 wait_steps=config.server_wait_steps,
                 window=config.server_window,
             )
+        # the cell's metrics cover the batched run only; the baseline
+        # below must not pool its counters into them
+        metrics = OBS.snapshot()
         single_values, single_lat, single_seconds, _ = _frontdoor_run(
             router, queries,
             concurrency=config.concurrency,
@@ -1059,7 +1063,7 @@ def _bench_server_technique(
             "rmse": summary.rmse,
             "n_queries": summary.n_queries,
         },
-        "metrics": OBS.snapshot(),
+        "metrics": metrics,
         "server": {
             "concurrency": int(config.concurrency),
             "max_batch": int(config.server_max_batch),

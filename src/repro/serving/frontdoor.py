@@ -32,6 +32,14 @@ Admission failures surface as :class:`~repro.errors.OverloadedError`
 responses (``retryable: true``) — the front door sheds instead of
 queueing unboundedly.
 
+Replies leave one batch at a time.  Each encoded reply goes into its
+connection's outbox, and a flush hands every non-empty outbox to its
+transport as a single write: at the end of each read chunk, at the end
+of each tick, before each dispatch, before each mutation is applied
+(so answers a barrier resolved never wait behind a slow delete), and
+before the door or a connection closes.  ``replies`` and ``writes``
+count the frames and the transport writes that carried them.
+
 Three client-side helpers live here too: :class:`FrontDoorClient`
 (asyncio, id-multiplexed, pipelining), :class:`FrontDoorThread` (runs
 a server plus client pool on a background event loop, for synchronous
@@ -87,10 +95,33 @@ MAX_FRAME_BYTES = 1 << 20
 _LEN_BYTES = 4
 _READ_CHUNK = 1 << 16
 
+#: ``json.dumps`` with non-default separators builds a new encoder on
+#: every call; one shared encoder gives the same bytes.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_ANSWER_KEYS = ("id", "ok", "value")
+
 
 def encode_frame(obj: Any) -> bytes:
-    """One wire frame: 4-byte big-endian length + JSON body."""
-    body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    """One wire frame: 4-byte big-endian length + JSON body.
+
+    The body is byte-identical to ``json.dumps(obj, separators=(",",
+    ":"))``.  The dominant shape, an answer ``{"id": <int>, "ok":
+    true, "value": <finite float>}``, is written from a byte template
+    (``%d`` and ``%r`` are the reprs ``json`` itself uses for an int
+    and a finite float); everything else goes through the shared
+    encoder.
+    """
+    if type(obj) is dict and tuple(obj) == _ANSWER_KEYS:
+        rid, ok, value = obj.values()
+        if (ok is True and type(rid) is int and type(value) is float
+                and value - value == 0.0):  # finite: NaN and inf fail
+            return _framed(
+                b'{"id":%d,"ok":true,"value":%r}' % (rid, value)
+            )
+    return _framed(_ENCODER.encode(obj).encode("utf-8"))
+
+
+def _framed(body: bytes) -> bytes:
     if len(body) > MAX_FRAME_BYTES:
         raise ValidationError(
             f"frame of {len(body)} bytes exceeds the "
@@ -216,9 +247,20 @@ class FrontDoor:
         self.clock = clock if clock is not None else StepClock()
         if mutate is None:
             mutate = _default_mutate(engine)
+        apply_mutation: Optional[Callable[[str, Rect], Any]] = None
+        if mutate is not None:
+            inner = mutate
+
+            def flushed_mutate(kind: str, rect: Rect) -> Any:
+                # answers the barrier just resolved go out before a
+                # delete scan can hold them back
+                self._flush()
+                return inner(kind, rect)
+
+            apply_mutation = flushed_mutate
         self.batcher = MicroBatcher(
             self._dispatch,
-            mutate,
+            apply_mutation,
             max_batch=max_batch,
             max_wait_steps=max_wait_steps,
             max_pending=max_pending,
@@ -230,7 +272,11 @@ class FrontDoor:
         self._conn_tasks: Set["asyncio.Task[None]"] = set()
         self._tick_scheduled = False
         self._last_degraded: Tuple[int, ...] = ()
+        #: encoded replies not yet handed to their connection's transport
+        self._outbox: Dict["asyncio.StreamWriter", List[bytes]] = {}
         self.connections = 0
+        self.replies = 0
+        self.writes = 0
 
     # ------------------------------------------------------------------
     # dispatch: the one place a batch meets the engine
@@ -238,6 +284,8 @@ class FrontDoor:
     def _dispatch(
         self, coords: "npt.NDArray[np.float64]"
     ) -> "npt.NDArray[np.float64]":
+        # the previous batch's answers leave before this one computes
+        self._flush()
         # rows were validated individually at admission, so the batch
         # skips re-validation; bit-identity with a direct engine call
         # holds because the kernels evaluate rows independently
@@ -272,6 +320,7 @@ class FrontDoor:
         the event loop to destroy mid-read.
         """
         self.batcher.flush()
+        self._flush()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -321,10 +370,12 @@ class FrontDoor:
                         break
                     self._process(frame, writer)
                 self._schedule_tick()
+                self._flush()
                 await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             # client went away mid-conversation; its queued queries
-            # still dispatch with their batch, the writes just no-op
+            # still dispatch with their batch, and the flush drops
+            # their replies
             pass
         except asyncio.CancelledError:
             # door shutdown cancels handlers mid-read; end the task
@@ -333,8 +384,7 @@ class FrontDoor:
             pass
         finally:
             self.connections -= 1
-            if task is not None:
-                self._conn_tasks.discard(task)
+            self._flush()
             writer.close()
             try:
                 await writer.wait_closed()
@@ -343,6 +393,10 @@ class FrontDoor:
                 # a server shutting down cancels its handler tasks
                 # while they drain; that is a clean exit, not an error
                 pass
+            # tracked until here, so a door closing while this
+            # connection drains cancels and awaits it too
+            if task is not None:
+                self._conn_tasks.discard(task)
 
     def _process(
         self, payload: bytes, writer: "asyncio.StreamWriter"
@@ -373,6 +427,8 @@ class FrontDoor:
         elif op == "stats":
             stats = dict(self.batcher.stats())
             stats["connections"] = float(self.connections)
+            stats["replies"] = float(self.replies)
+            stats["writes"] = float(self.writes)
             self._send(writer, {"id": rid, "ok": True, "value": stats})
         else:
             self._send(writer, _error_response(rid, ValidationError(
@@ -452,13 +508,36 @@ class FrontDoor:
     def _send(
         self, writer: "asyncio.StreamWriter", obj: Dict[str, Any]
     ) -> None:
-        if writer.is_closing():
+        """Queue one reply in its connection's outbox."""
+        frame = encode_frame(obj)
+        frames = self._outbox.get(writer)
+        if frames is None:
+            self._outbox[writer] = [frame]
+        else:
+            frames.append(frame)
+
+    def _flush(self) -> None:
+        """Hand each connection's queued replies to its transport in
+        one write."""
+        if not self._outbox:
             return
-        try:
-            writer.write(encode_frame(obj))
-        except (ConnectionError, RuntimeError, OSError):
-            # disconnect mid-batch: the answer is simply dropped
-            pass
+        outbox, self._outbox = self._outbox, {}
+        replies = writes = 0
+        for writer, frames in outbox.items():
+            if writer.is_closing():
+                # disconnect mid-batch: its answers are simply dropped
+                continue
+            try:
+                writer.write(b"".join(frames))
+            except (ConnectionError, RuntimeError, OSError):
+                continue
+            replies += len(frames)
+            writes += 1
+        self.replies += replies
+        self.writes += writes
+        if OBS.enabled:
+            OBS.add("serving.frontdoor.replies", replies)
+            OBS.add("serving.frontdoor.writes", writes)
 
     # ------------------------------------------------------------------
     # logical time: one step per idle pass of the event loop
@@ -476,6 +555,7 @@ class FrontDoor:
     def _tick(self) -> None:
         self._tick_scheduled = False
         self.batcher.tick(1)
+        self._flush()
         if self.batcher.pending:
             self._schedule_tick()
 

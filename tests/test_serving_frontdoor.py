@@ -19,11 +19,21 @@ Three layers, three promises:
 The parameterized ``served_engine`` fixture (conftest) closes the
 loop: direct, sharded, pooled, and server stacks all answer the shared
 workload bit-identically to the union reference.
+
+The egress contract is pinned separately: every frame is
+byte-identical to ``json.dumps`` framing, each dispatched batch
+reaches each connection in one transport write, and no flush point
+(barrier, disconnect, framing error, close) loses or delays a reply.
 """
+
+import asyncio
+import json
+import socket
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import MaintainedHistogram, MinSkewPartitioner
@@ -38,6 +48,7 @@ from repro.serving import (
     MicroBatcher,
     PendingReply,
 )
+from repro.serving.frontdoor import MAX_FRAME_BYTES, encode_frame
 from repro.workload import live_workload, range_queries
 
 DATA = charminar(600, seed=53)
@@ -569,3 +580,351 @@ class TestServerBenchSmoke:
         assert server["batches"] >= 1
         assert server["p99_ms"] >= server["p50_ms"] >= 0.0
         assert server["single_qps"] > 0.0 and server["batched_qps"] > 0.0
+
+
+def _json_frame(obj):
+    """The reference framing: length prefix + ``json.dumps`` body."""
+    body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    return len(body).to_bytes(4, "big") + body
+
+
+_IDS = st.one_of(
+    st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+    st.booleans(),
+    st.text(max_size=8),
+    st.none(),
+    st.floats(),
+)
+_VALUES = st.one_of(
+    st.floats(),  # every float: subnormals, -0.0, +-inf and NaN
+    st.sampled_from([-0.0, 5e-324, 1e16, float("inf"), float("-inf"),
+                     float("nan")]),
+    st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+)
+
+
+class TestEncodeFrame:
+    """Every frame the door sends is ``json.dumps`` framing, byte for
+    byte — the answer template included."""
+
+    @given(rid=_IDS, value=_VALUES)
+    @example(rid=2 ** 64, value=-0.0)
+    @example(rid=-1, value=5e-324)
+    @example(rid=0, value=1e16)
+    @settings(max_examples=300, deadline=None)
+    def test_answer_shape_matches_json_dumps(self, rid, value):
+        obj = {"id": rid, "ok": True, "value": value}
+        assert encode_frame(obj) == _json_frame(obj)
+
+    @given(
+        rid=_IDS,
+        ok=st.one_of(st.booleans(), st.integers(0, 1), st.none()),
+        value=_VALUES,
+        extra=st.dictionaries(
+            st.sampled_from(["degraded", "error", "hint"]),
+            st.one_of(st.lists(st.integers(0, 7), max_size=3),
+                      st.text(max_size=8)),
+            max_size=2,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_other_shapes_and_key_orders_match_json_dumps(
+        self, rid, ok, value, extra, data
+    ):
+        items = [("id", rid), ("ok", ok), ("value", value)]
+        items += sorted(extra.items())
+        obj = dict(data.draw(st.permutations(items)))
+        assert encode_frame(obj) == _json_frame(obj)
+
+    def test_frame_bound_error_is_unchanged(self):
+        envelope = len(_json_frame({"id": 1, "ok": True, "value": ""}))
+        fits = "x" * (MAX_FRAME_BYTES - (envelope - 4))
+        frame = encode_frame({"id": 1, "ok": True, "value": fits})
+        assert frame == _json_frame({"id": 1, "ok": True, "value": fits})
+        assert len(frame) == 4 + MAX_FRAME_BYTES
+        with pytest.raises(ValidationError) as exc_info:
+            encode_frame({"id": 1, "ok": True, "value": fits + "x"})
+        assert str(exc_info.value) == (
+            f"frame of {MAX_FRAME_BYTES + 1} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte bound"
+        )
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError("condition not reached in time")
+        time.sleep(0.005)
+
+
+def _decode_frames(data):
+    """Every frame of a byte string that holds whole frames."""
+    frames = []
+    while data:
+        length = int.from_bytes(data[:4], "big")
+        frames.append(json.loads(data[4:4 + length]))
+        data = data[4 + length:]
+    return frames
+
+
+class _Wire:
+    """A blocking raw-socket client: the test controls every byte."""
+
+    def __init__(self, port):
+        self.sock = socket.create_connection(("127.0.0.1", port),
+                                             timeout=10.0)
+        self.name = self.sock.getsockname()
+        self._buffer = b""
+
+    def send(self, *msgs):
+        self.sock.sendall(b"".join(_json_frame(m) for m in msgs))
+
+    def recv(self, n):
+        """The next ``n`` reply frames, in arrival order."""
+        frames = []
+        while len(frames) < n:
+            if len(self._buffer) >= 4:
+                length = int.from_bytes(self._buffer[:4], "big")
+                if len(self._buffer) >= 4 + length:
+                    frames.append(
+                        json.loads(self._buffer[4:4 + length])
+                    )
+                    self._buffer = self._buffer[4 + length:]
+                    continue
+            chunk = self.sock.recv(1 << 16)
+            if not chunk:
+                raise ConnectionError("server closed the connection")
+            self._buffer += chunk
+        return frames
+
+    def at_eof(self):
+        return not self._buffer and self.sock.recv(1 << 16) == b""
+
+    def close(self):
+        self.sock.close()
+
+
+def _query(client, seq):
+    """Query ``seq`` of ``client``; the stub answers 2*client + 2*seq
+    + 2, and a batch row's (x1, y1) names its sender."""
+    return {"id": seq, "op": "estimate",
+            "rect": [float(client), float(seq), client + 1.0, seq + 1.0]}
+
+
+class _RowSums:
+    """Backend stub: answers row sums and logs each batch it serves."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def estimate_batch(self, rects):
+        coords = np.array(rects.coords, dtype=np.float64)
+        self.log.append(("batch", coords))
+        return coords.sum(axis=1)
+
+
+@pytest.fixture
+def egress(monkeypatch):
+    """A door over :class:`_RowSums` whose transport writes land in the
+    same event log as its batches: ``(log, door, written)``.
+
+    ``written()`` maps each client socket name to the reply frames the
+    server has handed to its transport so far, in order.
+    """
+    log = []
+    doors = []
+    original = asyncio.StreamWriter.write
+
+    def write(self, data):
+        log.append(("write", self.get_extra_info("sockname"),
+                    self.get_extra_info("peername"), bytes(data)))
+        return original(self, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", write)
+
+    def start(**kwargs):
+        front = FrontDoorThread(_RowSums(log), **kwargs).start()
+        doors.append(front)
+
+        def written():
+            out = {}
+            for entry in list(log):
+                if entry[0] == "write" and entry[1][1] == front.port:
+                    out.setdefault(entry[2], []).extend(
+                        _decode_frames(entry[3])
+                    )
+            return out
+
+        return log, front, written
+
+    yield start
+    for front in doors:
+        front.stop()
+
+
+class TestFrontDoorEgress:
+    """The reply path: one write per connection per batch, in order,
+    flushed before anything that could hold an answer back."""
+
+    def test_each_batch_is_one_write_per_connection(self, egress):
+        # 64 pipelined queries fill two batches: most chunks fire a
+        # batch mid-chunk, so the flush before dispatch is exercised
+        log, front, _ = egress(max_batch=32)
+        clients = [_Wire(front.port), _Wire(front.port)]
+        try:
+            for c, wire in enumerate(clients):
+                wire.send(*[_query(c, s) for s in range(64)])
+            for c, wire in enumerate(clients):
+                replies = wire.recv(64)
+                # submission order, every answer right
+                assert [r["id"] for r in replies] == list(range(64))
+                assert [r["value"] for r in replies] == [
+                    2.0 * c + 2.0 * s + 2.0 for s in range(64)
+                ]
+        finally:
+            for wire in clients:
+                wire.close()
+            front.stop()  # join the loop: the log and counters are final
+        owner = {wire.name: c for c, wire in enumerate(clients)}
+        expected = {}
+        batches = 0
+        for entry in list(log):
+            if entry[0] == "batch":
+                # the previous batch went out in full before this one
+                assert expected == {}
+                batches += 1
+                for x1, y1, _x2, _y2 in entry[1]:
+                    expected.setdefault(int(x1), []).append(int(y1))
+            elif entry[1][1] == front.port:
+                c = owner[entry[2]]
+                # one write carries all of this batch's replies to c
+                assert [r["id"] for r in _decode_frames(entry[3])] \
+                    == expected.pop(c)
+        assert expected == {}
+        assert 4 <= batches <= 128
+        assert front.door.replies == 128
+        assert front.door.writes <= front.door.replies
+
+    def test_barrier_answers_are_written_before_the_mutation(
+        self, egress
+    ):
+        seen = {}
+
+        def mutate(kind, rect):
+            seen["written"] = written()
+            return {"applied": kind}
+
+        log, front, written = egress(
+            mutate=mutate, max_batch=1000, max_wait_steps=0
+        )
+        wires = [_Wire(front.port), _Wire(front.port)]
+        try:
+            for c, wire in enumerate(wires):
+                wire.send(*[_query(c, s) for s in range(10)])
+            _wait_until(lambda: front.door.batcher.pending == 20)
+            wires[0].send({"id": 10, "op": "insert",
+                           "rect": [0.0, 0.0, 1.0, 1.0]})
+            replies = wires[0].recv(11)
+            assert [r["id"] for r in replies] == list(range(11))
+            assert replies[-1]["value"] == {"applied": "insert"}
+            assert [r["id"] for r in wires[1].recv(10)] == \
+                list(range(10))
+        finally:
+            for wire in wires:
+                wire.close()
+        # inside the mutate callable, both connections' barrier
+        # answers had already been handed to their transports
+        assert {
+            name: [r["id"] for r in frames]
+            for name, frames in seen["written"].items()
+        } == {wire.name: list(range(10)) for wire in wires}
+        assert [e[0] for e in log].count("batch") == 1
+
+    def test_disconnect_mid_batch_loses_only_its_own_replies(
+        self, egress
+    ):
+        log, front, written = egress(max_batch=20, max_wait_steps=0)
+        gone, stays = _Wire(front.port), _Wire(front.port)
+        try:
+            _wait_until(lambda: front.door.connections == 2)
+            gone.send(*[_query(0, s) for s in range(10)])
+            _wait_until(lambda: front.door.batcher.pending == 10)
+            gone.close()
+            _wait_until(lambda: front.door.connections == 1)
+            # the size trigger fires the batch holding both clients'
+            # queries once the survivor's arrive
+            stays.send(*[_query(1, s) for s in range(10)])
+            replies = stays.recv(10)
+        finally:
+            stays.close()
+            front.stop()
+        assert [r["value"] for r in replies] == [
+            2.0 * 1 + 2.0 * s + 2.0 for s in range(10)
+        ]
+        batches = [e[1] for e in log if e[0] == "batch"]
+        assert [len(b) for b in batches] == [20]
+        assert gone.name not in written()
+        assert front.door.replies == 10
+
+    def test_framing_error_reply_arrives_before_close(self, egress):
+        _, front, _ = egress()
+        wire = _Wire(front.port)
+        try:
+            wire.send({"id": "p", "op": "ping"})
+            # a header announcing a frame past the bound
+            wire.sock.sendall((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+            pong, error = wire.recv(2)
+            assert pong == {"id": "p", "ok": True, "value": "pong"}
+            assert error["ok"] is False
+            assert error["error"] == "ValidationError"
+            assert wire.at_eof()
+        finally:
+            wire.close()
+
+    def test_aclose_flushes_what_its_final_flush_resolves(self, egress):
+        _, front, _ = egress(max_batch=1000, max_wait_steps=0)
+        wire = _Wire(front.port)
+        try:
+            wire.send(*[_query(0, s) for s in range(5)])
+            _wait_until(lambda: front.door.batcher.pending == 5)
+            front.stop()  # aclose(): the flush-on-close trigger
+            replies = wire.recv(5)
+            assert [r["value"] for r in replies] == [
+                2.0 * s + 2.0 for s in range(5)
+            ]
+            assert wire.at_eof()
+        finally:
+            wire.close()
+
+    def test_stats_count_replies_and_writes(self, capture_counters):
+        front = FrontDoorThread(
+            _RowSums([]), max_batch=4, max_wait_steps=1
+        ).start()
+
+        def interleaving():
+            coords = range_queries(DATA, 0.1, 20, seed=17).coords
+            answered = front.estimate_many(coords, concurrency=2)
+            answered.append(front.call("ping"))
+            answered.append(front.call("bogus"))
+            answered.append(
+                front.call("estimate", rect=(5.0, 5.0, 1.0, 1.0))
+            )
+            stats = front.stats()
+            front.stop()  # inside the scope: every count has landed
+            return answered, stats
+
+        try:
+            (answered, stats), counters = capture_counters(interleaving)
+        finally:
+            front.stop()
+        assert len(answered) == 23
+        assert [r["ok"] for r in answered[-3:]] == [True, False, False]
+        # every answered request was one reply; the stats reply itself
+        # is counted once it has been written
+        assert stats["replies"] == 23.0
+        assert 1.0 <= stats["writes"] <= stats["replies"]
+        assert front.door.replies == 24
+        assert counters["serving.frontdoor.replies"] == 24
+        assert counters["serving.frontdoor.writes"] == front.door.writes
