@@ -102,13 +102,14 @@ def test_committed_baseline_is_valid_when_present():
             assert entry["live"]["refreshes"] > 0
 
 
-def test_cli_serve_live(tmp_path, capsys):
+def test_cli_bench_live(tmp_path, capsys):
     rc = cli_main(
         [
-            "serve-live",
+            "bench",
+            "--live",
             "--name", "cli_live",
             "--out", str(tmp_path),
-            "--dataset", "charminar:800",
+            "--datasets", "charminar:800",
             "--buckets", "10",
             "--regions", "100",
             "--queries", "80",

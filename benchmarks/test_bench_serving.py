@@ -15,6 +15,7 @@ committed ``BENCH_serving.json`` baseline (now sharded) when present.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
@@ -244,18 +245,20 @@ def test_cli_sharded_engine(tmp_path, capsys):
     assert doc["config"]["techniques"] == list(BUCKET_TECHNIQUES)
 
 
-def test_cli_serve_live_sharded(tmp_path, capsys):
+def test_cli_bench_live_sharded(tmp_path, capsys):
     rc = cli_main(
         [
-            "serve-live",
+            "bench",
+            "--live",
+            "--engine", "sharded",
             "--name", "cli_slive",
             "--out", str(tmp_path),
-            "--dataset", "charminar:800",
+            "--datasets", "charminar:800",
             "--buckets", "12",
             "--regions", "144",
             "--queries", "100",
             "--ops", "60",
-            "--sharded", "2",
+            "--shards", "2",
         ]
     )
     assert rc == 0
@@ -266,3 +269,41 @@ def test_cli_serve_live_sharded(tmp_path, capsys):
     doc = json.loads((tmp_path / "BENCH_cli_slive.json").read_text())
     validate_bench(doc)
     assert doc["config"]["engine"] == "sharded"
+
+
+def _nudged(values):
+    values = np.array(values, dtype=np.float64)
+    values[0] = np.nextafter(values[0], np.inf)
+    return values
+
+
+def test_cli_exits_nonzero_when_a_gate_fails(tmp_path, capsys, monkeypatch):
+    """A reference one ulp off fails the run, and stderr names the gate."""
+    from repro.serving.shard import ShardUnionEstimator
+
+    reference = ShardUnionEstimator.estimate_batch
+    monkeypatch.setattr(
+        ShardUnionEstimator, "estimate_batch",
+        lambda self, queries: _nudged(reference(self, queries)),
+    )
+    rc = cli_main(
+        [
+            "bench",
+            "--serving",
+            "--name", "cli_nudged",
+            "--out", str(tmp_path),
+            "--datasets", "charminar:800",
+            "--buckets", "12",
+            "--regions", "144",
+            "--queries", "100",
+            "--ops", "60",
+        ]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "sharded_matches" in captured.err
+    assert "FAILED" in captured.out
+    # the artifact is still written, recording the failed gate
+    doc = json.loads((tmp_path / "BENCH_cli_nudged.json").read_text())
+    for entry in doc["datasets"][0]["techniques"]:
+        assert entry["sharded"]["sharded_matches"] is False

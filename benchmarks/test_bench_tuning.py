@@ -125,22 +125,18 @@ def test_committed_baseline_is_valid_when_present():
             assert tuned["improvement"] > 0
 
 
-def test_cli_tune_feedback(tmp_path, capsys):
+def test_cli_bench_tuning(tmp_path, capsys):
     rc = cli_main(
         [
-            "tune",
-            "--feedback",
+            "bench",
+            "--tuning",
             "--name", "cli_tuned",
             "--out", str(tmp_path),
-            "--dataset", "charminar",
-            "--n", "1000",
+            "--datasets", "charminar:1000",
             "--buckets", "12",
             "--regions", "144",
             "--queries", "150",
             "--ops", "1200",
-            "--tune-every", "200",
-            "--drift-x", "0.08",
-            "--drift-y", "0.06",
         ]
     )
     assert rc == 0
@@ -152,19 +148,19 @@ def test_cli_tune_feedback(tmp_path, capsys):
     assert doc["config"]["engine"] == "tuned"
 
 
-def test_cli_serve_live_tune(tmp_path, capsys):
+def test_cli_bench_tuning_deterministic(tmp_path, capsys):
     rc = cli_main(
         [
-            "serve-live",
-            "--tune",
+            "bench",
+            "--tuning",
+            "--deterministic",
             "--name", "cli_live_tuned",
             "--out", str(tmp_path),
-            "--dataset", "charminar:1000",
+            "--datasets", "charminar:1000",
             "--buckets", "12",
             "--regions", "144",
             "--queries", "150",
             "--ops", "1200",
-            "--tune-every", "200",
         ]
     )
     assert rc == 0
@@ -176,3 +172,6 @@ def test_cli_serve_live_tune(tmp_path, capsys):
     )
     validate_bench(doc)
     assert doc["config"]["engine"] == "tuned"
+    (entry,) = doc["datasets"][0]["techniques"]
+    assert entry["tuned"]["replay_seconds"] == 0.0
+    assert entry["metrics"]["timers"] == {}

@@ -200,8 +200,6 @@ def _cmd_fig11(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    if args.feedback:
-        return _cmd_tune_feedback(args)
     from .core import tune_min_skew
 
     data = _load_data(args)
@@ -222,152 +220,79 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_tuned_line(tech: dict) -> "tuple[str, bool]":
-    """One ``engine="tuned"`` summary line plus its pass/fail verdict.
-
-    Fails on a bit-for-bit mismatch with the fresh rebuild, on a
-    conservation violation, or when feedback tuning did not strictly
-    beat the static control at equal bucket budget.
-    """
-    tuned = tech["tuned"]
-    line = (
-        f"{tech['technique']:11s} "
-        f"ops={tuned['ops']:5d} "
-        f"(q={tuned['queries']} i={tuned['inserts']} "
-        f"d={tuned['deletes']}) "
-        f"passes={tuned['tuning_passes']:2d} "
-        f"pairs={tuned['tuning_pairs']:2d} "
-        f"epoch={tuned['final_epoch']:4d} "
-        f"buckets={tuned['n_buckets_tuned']}/"
-        f"{tuned['n_buckets_static']} "
-        f"ARE static={tuned['are_static']:.3f} "
-        f"tuned={tuned['are_tuned']:.3f} "
-        f"({tuned['improvement']:+.3f})"
-    )
-    ok = True
-    if not tuned["tuned_matches"]:
-        line += " STALE-SERVING MISMATCH"
-        ok = False
-    if not tuned["count_conserved"]:
-        line += " COUNT-NOT-CONSERVED"
-        ok = False
-    if tuned["improvement"] <= 0:
-        line += " NO-IMPROVEMENT"
-        ok = False
-    return line, ok
+def _positive(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
-def _cmd_tune_feedback(args: argparse.Namespace) -> int:
-    """``repro-spatial tune --feedback``: the self-tuning benchmark.
+#: what a bench summary line shows: (block, label, field, format); the
+#: block is the cell's top level when empty, and absent fields are
+#: skipped, so one table serves every engine kind
+_SUMMARY = (
+    ("", "build", "build_seconds", "{:7.2f}s"),
+    ("", "estimate", "estimate_seconds", "{:6.3f}s"),
+    ("accuracy", "ARE", "average_relative_error", "{:7.3f}"),
+    ("", "scalar", "scalar_seconds", "{:6.3f}s"),
+    ("", "speedup", "speedup", "{:6.1f}x"),
+    ("live", "ops", "ops", "{}"),
+    ("live", "refreshes", "refreshes", "{}"),
+    ("live", "epoch", "final_epoch", "{}"),
+    ("live", "flushes", "cache_flushes", "{}"),
+    ("tuned", "ops", "ops", "{}"),
+    ("tuned", "passes", "tuning_passes", "{}"),
+    ("tuned", "pairs", "tuning_pairs", "{}"),
+    ("tuned", "buckets", "n_buckets_tuned", "{}"),
+    ("tuned", "static-ARE", "are_static", "{:.3f}"),
+    ("tuned", "vs-static", "improvement", "{:+.3f}"),
+    ("sharded", "shards", "n_shards", "{}"),
+    ("sharded", "fanout", "avg_shards_per_query", "{:.2f}/q"),
+    ("sharded", "mutations", "mutations", "{}"),
+    ("sharded", "epoch-bumps", "shard_epoch_bumps", "{}"),
+    ("server", "qps", "batched_qps", "{:8.0f}"),
+    ("server", "p50", "p50_ms", "{:.1f}ms"),
+    ("server", "p99", "p99_ms", "{:.1f}ms"),
+    ("server", "batch", "avg_batch", "{:.1f}"),
+    ("server", "vs-single", "speedup", "{:.2f}x"),
+)
 
-    Replays the drifting live stream against a feedback-tuned
-    histogram and its static control (the ``engine="tuned"`` bench
-    cell), writes ``BENCH_<name>.json``, and fails unless the tuned
-    histogram strictly beat the static one with bit-identical serving.
-    """
-    from .obs.bench import TUNING_CONFIG, write_bench
 
-    config = TUNING_CONFIG
-    changes: dict = {
-        "name": args.name or "tuned",
-        "datasets": (
-            (args.dataset, args.n if args.n is not None else 2_000),
-        ),
-        "n_buckets": args.buckets,
-        "n_queries": args.queries,
-    }
-    if args.regions is not None:
-        changes["n_regions"] = args.regions
-    if args.ops is not None:
-        if args.ops < 1:
-            raise SystemExit("--ops must be >= 1")
-        changes["live_ops"] = args.ops
-    if args.tune_every is not None:
-        if args.tune_every < 0:
-            raise SystemExit("--tune-every must be >= 0")
-        changes["tune_every"] = args.tune_every
-    if args.drift_x is not None:
-        changes["live_drift_xy"] = (
-            args.drift_x,
-            args.drift_y if args.drift_y is not None
-            else config.live_drift_xy[1],
-        )
-    elif args.drift_y is not None:
-        changes["live_drift_xy"] = (
-            config.live_drift_xy[0], args.drift_y
-        )
-    config = config.replace(**changes)
-
-    doc, path = write_bench(
-        config, out_dir=args.out, deterministic=args.deterministic
-    )
-    consistent = True
-    print(f"# tune {config.name}: {doc['total_seconds']:.1f}s total")
-    for ds in doc["datasets"]:
-        print(f"## {ds['dataset']} n={ds['n']}")
-        for tech in ds["techniques"]:
-            line, ok = _format_tuned_line(tech)
-            consistent = consistent and ok
-            print(line)
-    print(f"wrote {path}")
-    if not consistent:
-        print("feedback tuning gate violated: served answers differ "
-              "from a freshly built engine over the tuned buckets, "
-              "counts were not conserved, or the tuned histogram did "
-              "not beat the static control", file=sys.stderr)
-        return 1
-    return 0
+def _format_cell(tech: dict, failed: List[str]) -> str:
+    """One technique's summary line, failed gates appended."""
+    parts = [f"{tech['technique']:11s}"]
+    for block, label, key, fmt in _SUMMARY:
+        fields = tech.get(block, {}) if block else tech
+        if key in fields:
+            parts.append(f"{label}={fmt.format(fields[key])}")
+    if failed:
+        parts.append("FAILED " + ",".join(failed))
+    return " ".join(parts)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .obs.bench import FULL_CONFIG, QUICK_CONFIG, SERVING_CONFIG, \
-        TUNING_CONFIG, write_bench
+    """``repro-spatial bench``: run a preset, write ``BENCH_<name>.json``.
 
-    if args.full:
-        config = FULL_CONFIG
-    elif args.serving:
-        config = SERVING_CONFIG
-    elif args.tuning:
-        config = TUNING_CONFIG
-    else:
-        config = QUICK_CONFIG
-    changes = {}
-    if args.name:
-        changes["name"] = args.name
-    if args.buckets is not None:
-        changes["n_buckets"] = args.buckets
-    if args.regions is not None:
-        changes["n_regions"] = args.regions
-    if args.queries is not None:
-        changes["n_queries"] = args.queries
-    if args.engine is not None:
-        changes["engine"] = args.engine
-    if args.workers is not None:
-        if args.workers < 1:
-            raise SystemExit("--workers must be >= 1")
-        changes["workers"] = args.workers
-    if args.shards is not None:
-        if args.shards < 1:
-            raise SystemExit("--shards must be >= 1")
-        changes["n_shards"] = args.shards
-    if args.shard_workers is not None:
-        if args.shard_workers < 1:
-            raise SystemExit("--shard-workers must be >= 1")
-        changes["shard_workers"] = args.shard_workers
-    if args.concurrency is not None:
-        if args.concurrency < 1:
-            raise SystemExit("--concurrency must be >= 1")
-        changes["concurrency"] = args.concurrency
-    if args.max_batch is not None:
-        if args.max_batch < 1:
-            raise SystemExit("--max-batch must be >= 1")
-        changes["server_max_batch"] = args.max_batch
-    if args.window is not None:
-        if args.window < 1:
-            raise SystemExit("--window must be >= 1")
-        changes["server_window"] = args.window
+    Exits 1 when any consistency gate the artifact records is false
+    (see :func:`repro.obs.bench.gate_failures`); timings never decide
+    the exit code.
+    """
+    from .obs.bench import PRESETS, gate_failures, write_bench
+
+    config = PRESETS[args.preset]
+    changes = {
+        field: getattr(args, field)
+        for field in (
+            "name", "n_buckets", "n_regions", "n_queries", "engine",
+            "workers", "n_shards", "shard_workers", "concurrency",
+            "server_max_batch", "server_window", "live_ops",
+        )
+        if getattr(args, field) is not None
+    }
     if args.datasets:
-        pairs = []
+        sizes = dict(config.datasets)
+        datasets = []
         for spec in args.datasets.split(","):
             name, _, size = spec.partition(":")
             if name not in dataset_names():
@@ -375,20 +300,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     f"unknown dataset {name!r}; known: {dataset_names()}"
                 )
             try:
-                pairs.append((name, int(size) if size else None))
+                datasets.append(
+                    (name, int(size) if size else sizes.get(name, 6_000))
+                )
             except ValueError:
                 raise SystemExit(
                     f"invalid dataset size {size!r} in {spec!r}; "
                     "expected name:size, e.g. charminar:6000"
                 ) from None
-        changes["datasets"] = tuple(
-            (name, size if size is not None else dict(config.datasets)
-             .get(name, 6_000))
-            for name, size in pairs
-        )
+        changes["datasets"] = tuple(datasets)
     if changes:
         config = config.replace(**changes)
-    if config.engine in ("sharded", "server", "tuned"):
+    if config.engine in ("live", "sharded", "server", "tuned"):
         from .eval import BUCKET_TECHNIQUES
         kept = tuple(t for t in config.techniques
                      if t in BUCKET_TECHNIQUES)
@@ -414,55 +337,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"counter {overhead['disabled_counter_ns']:.0f}ns, "
         f"timer {overhead['disabled_timer_ns']:.0f}ns"
     )
+    failures = []
     for ds in doc["datasets"]:
         print(f"## {ds['dataset']} n={ds['n']} "
               f"truth={ds['truth_seconds']:.2f}s")
         for tech in ds["techniques"]:
-            acc = tech["accuracy"]
-            line = (
-                f"{tech['technique']:11s} "
-                f"build={tech['build_seconds']:7.2f}s "
-                f"estimate={tech['estimate_seconds']:6.3f}s "
-                f"ARE={acc['average_relative_error']:7.3f}"
-            )
-            if "speedup" in tech:
-                line += (
-                    f" scalar={tech['scalar_seconds']:6.3f}s "
-                    f"speedup={tech['speedup']:6.1f}x"
-                )
-                if not tech.get("scalar_matches", True):
-                    line += " MISMATCH"
-            if "sharded" in tech:
-                shard = tech["sharded"]
-                line += (
-                    f" shards={shard['n_shards']} "
-                    f"fanout={shard['avg_shards_per_query']:.2f}/q"
-                )
-                if not shard["sharded_matches"]:
-                    line += " SHARD-MISMATCH"
-                if not shard["owner_only_invalidation"]:
-                    line += " CROSS-SHARD-INVALIDATION"
-            if "server" in tech:
-                server = tech["server"]
-                line += (
-                    f" qps={server['batched_qps']:8.0f} "
-                    f"p50={server['p50_ms']:.1f}ms "
-                    f"p99={server['p99_ms']:.1f}ms "
-                    f"batch={server['avg_batch']:.1f} "
-                    f"vs-single={server['speedup']:.2f}x"
-                )
-                if not server["server_matches"]:
-                    line += " SERVER-MISMATCH"
-            if "tuned" in tech:
-                tuned = tech["tuned"]
-                line += (
-                    f" passes={tuned['tuning_passes']} "
-                    f"vs-static={tuned['improvement']:+.3f}"
-                )
-                if not tuned["tuned_matches"]:
-                    line += " TUNED-MISMATCH"
-            print(line)
+            failed = gate_failures(tech)
+            failures += [f"{ds['dataset']}/{tech['technique']}: {gate}"
+                         for gate in failed]
+            print(_format_cell(tech, failed))
     print(f"wrote {path}")
+    if failures:
+        print("consistency gate failed: " + "; ".join(failures),
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -540,143 +428,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         if closer is not None:
             closer()
-    return 0
-
-
-def _cmd_serve_live(args: argparse.Namespace) -> int:
-    from .obs.bench import LIVE_CONFIG, TUNING_CONFIG, write_bench
-
-    if args.tune and args.sharded is not None:
-        raise SystemExit("--tune and --sharded are mutually exclusive")
-    config = TUNING_CONFIG if args.tune else LIVE_CONFIG
-    changes = {}
-    if args.tune:
-        if args.tune_every is not None:
-            if args.tune_every < 0:
-                raise SystemExit("--tune-every must be >= 0")
-            changes["tune_every"] = args.tune_every
-        drift = list(config.live_drift_xy)
-        if args.drift_x is not None:
-            drift[0] = args.drift_x
-        if args.drift_y is not None:
-            drift[1] = args.drift_y
-        changes["live_drift_xy"] = tuple(drift)
-    if args.name:
-        changes["name"] = args.name
-    if args.buckets is not None:
-        changes["n_buckets"] = args.buckets
-    if args.regions is not None:
-        changes["n_regions"] = args.regions
-    if args.queries is not None:
-        changes["n_queries"] = args.queries
-    if args.ops is not None:
-        if args.ops < 1:
-            raise SystemExit("--ops must be >= 1")
-        changes["live_ops"] = args.ops
-    if args.seed is not None:
-        changes["live_seed"] = args.seed
-    if args.sharded is not None:
-        if args.sharded < 1:
-            raise SystemExit("--sharded must be >= 1")
-        changes["engine"] = "sharded"
-        changes["n_shards"] = args.sharded
-    if args.shard_workers is not None:
-        if args.shard_workers < 1:
-            raise SystemExit("--shard-workers must be >= 1")
-        changes["shard_workers"] = args.shard_workers
-    if args.dataset is not None:
-        name, _, size = args.dataset.partition(":")
-        if name not in dataset_names():
-            raise SystemExit(
-                f"unknown dataset {name!r}; known: {dataset_names()}"
-            )
-        try:
-            n = int(size) if size else dict(config.datasets).get(
-                name, 4_000
-            )
-        except ValueError:
-            raise SystemExit(
-                f"invalid dataset size {size!r}; expected name:size, "
-                "e.g. charminar:4000"
-            ) from None
-        changes["datasets"] = ((name, n),)
-    if changes:
-        config = config.replace(**changes)
-
-    doc, path = write_bench(
-        config, out_dir=args.out, deterministic=args.deterministic
-    )
-    consistent = True
-    print(f"# serve-live {config.name}: "
-          f"{doc['total_seconds']:.1f}s total")
-    for ds in doc["datasets"]:
-        print(f"## {ds['dataset']} n={ds['n']}")
-        for tech in ds["techniques"]:
-            acc = tech["accuracy"]
-            if "sharded" in tech:
-                shard = tech["sharded"]
-                bumps = ",".join(
-                    str(b) for b in shard["shard_epoch_bumps"]
-                )
-                line = (
-                    f"{tech['technique']:11s} "
-                    f"ops={shard['ops']:5d} "
-                    f"mutations={shard['mutations']:4d} "
-                    f"shards={shard['n_shards']} "
-                    f"epoch-bumps=[{bumps}] "
-                    f"fanout={shard['avg_shards_per_query']:.2f}/q "
-                    f"ARE={acc['average_relative_error']:7.3f}"
-                )
-                if not shard["sharded_matches"]:
-                    line += " SHARD-MISMATCH"
-                    consistent = False
-                if not shard["owner_only_invalidation"]:
-                    line += " CROSS-SHARD-INVALIDATION"
-                    consistent = False
-                print(line)
-                continue
-            if "tuned" in tech:
-                line, ok = _format_tuned_line(tech)
-                consistent = consistent and ok
-                print(line)
-                continue
-            live = tech["live"]
-            line = (
-                f"{tech['technique']:11s} "
-                f"ops={live['ops']:5d} "
-                f"(q={live['queries']} i={live['inserts']} "
-                f"d={live['deletes']}) "
-                f"refreshes={live['refreshes']:2d} "
-                f"epoch={live['final_epoch']:4d} "
-                f"flushes={live['cache_flushes']:3d} "
-                f"ARE={acc['average_relative_error']:7.3f}"
-            )
-            if not live["live_matches"]:
-                line += " STALE-SERVING MISMATCH"
-                consistent = False
-            print(line)
-    print(f"wrote {path}")
-    if not consistent:
-        if config.engine == "sharded":
-            message = (
-                "serving consistency violated: sharded answers "
-                "diverged from the single-engine reference or a "
-                "mutation invalidated a non-owning shard"
-            )
-        elif config.engine == "tuned":
-            message = (
-                "feedback tuning gate violated: served answers "
-                "differ from a freshly built engine over the tuned "
-                "buckets, counts were not conserved, or the tuned "
-                "histogram did not beat the static control"
-            )
-        else:
-            message = (
-                "epoch consistency violated: served answers differ "
-                "from a freshly built engine"
-            )
-        print(message, file=sys.stderr)
-        return 1
     return 0
 
 
@@ -908,70 +659,42 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "tune",
         help="auto-select Min-Skew regions/refinements (the paper's "
-             "open problem), or with --feedback run the query-feedback "
-             "self-tuning benchmark against a static control",
+             "open problem)",
     )
     _add_dataset_args(p)
     p.add_argument("--buckets", type=int, default=100)
     p.add_argument("--queries", type=int, default=400)
     p.add_argument("--truth", default="exact",
                    choices=("exact", "sample"))
-    p.add_argument(
-        "--feedback", action="store_true",
-        help="replay a drifting live stream against a feedback-tuned "
-             "histogram and a static control, write BENCH_<name>.json, "
-             "and fail unless tuning strictly improved ARE with "
-             "bit-identical serving",
-    )
-    p.add_argument("--regions", type=int, default=None,
-                   help="Min-Skew grid regions (--feedback only)")
-    p.add_argument("--ops", type=int, default=None,
-                   help="drifting stream length (--feedback only)")
-    p.add_argument("--tune-every", type=int, default=None,
-                   help="operations between tuning passes "
-                        "(--feedback only; 0 disables tuning)")
-    p.add_argument("--drift-x", type=float, default=None,
-                   help="per-insert x bias as a fraction of the MBR "
-                        "width (--feedback only)")
-    p.add_argument("--drift-y", type=float, default=None,
-                   help="per-insert y bias as a fraction of the MBR "
-                        "height (--feedback only)")
-    p.add_argument("--name", default=None,
-                   help="artifact name (--feedback only)")
-    p.add_argument("--out", default=".",
-                   help="output directory (--feedback only)")
-    p.add_argument(
-        "--deterministic", action="store_true",
-        help="zero all wall-clock fields (--feedback only)",
-    )
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser(
         "bench",
-        help="run the perf-regression workload, write BENCH_<name>.json",
+        help="run a benchmark preset and write BENCH_<name>.json; "
+             "exits 1 when any consistency gate in it fails",
     )
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--quick", action="store_true",
-        help="reduced workload, <60s (the default)",
-    )
-    mode.add_argument(
-        "--full", action="store_true",
-        help="paper-scale workload (expect several minutes)",
-    )
-    mode.add_argument(
-        "--serving", action="store_true",
-        help="serving-tier workload: 10k queries through the sharded "
-             "scatter-gather router, differentially gated bit-for-bit "
-             "against the single-engine union reference",
-    )
-    mode.add_argument(
-        "--tuning", action="store_true",
-        help="self-tuning workload: a drifting live stream served by "
-             "a feedback-tuned histogram vs an equal-budget static "
-             "control, with the ARE differential and the bit-for-bit "
-             "rebuild gate",
-    )
+    for preset, text in (
+        ("quick", "reduced workload, <60s (the default)"),
+        ("full", "paper-scale workload (expect several minutes)"),
+        ("serving", "serving-tier workload: 10k queries through the "
+                    "sharded scatter-gather router, differentially "
+                    "gated bit-for-bit against the single-engine union "
+                    "reference, plus a routed mutation stream"),
+        ("live", "live-maintenance workload: an interleaved "
+                 "query/insert/delete stream against maintained "
+                 "histograms served through the engine, gated "
+                 "bit-for-bit against a freshly built engine"),
+        ("server", "front-door workload: pipelined client processes "
+                   "through the micro-batching TCP server vs a "
+                   "max_batch=1 baseline, p50/p99 latency and qps"),
+        ("tuning", "self-tuning workload: a drifting live stream "
+                   "served by a feedback-tuned histogram vs an "
+                   "equal-budget static control, with the ARE "
+                   "differential and the bit-for-bit rebuild gate"),
+    ):
+        mode.add_argument(f"--{preset}", dest="preset",
+                          action="store_const", const=preset, help=text)
     p.add_argument("--name", default=None,
                    help="artifact name (BENCH_<name>.json)")
     p.add_argument(
@@ -987,39 +710,45 @@ def build_parser() -> argparse.ArgumentParser:
              "its ARE-vs-static differential",
     )
     p.add_argument(
-        "--concurrency", type=int, default=None, metavar="C",
+        "--concurrency", type=_positive, default=None, metavar="C",
         help="load-generator client processes for engine=server "
              "(default: 4)",
     )
     p.add_argument(
-        "--max-batch", type=int, default=None, metavar="B",
+        "--max-batch", type=_positive, metavar="B",
+        dest="server_max_batch",
         help="micro-batch size cap for engine=server (default: 64)",
     )
     p.add_argument(
-        "--window", type=int, default=None, metavar="W",
+        "--window", type=_positive, metavar="W", dest="server_window",
         help="per-client pipelining window for engine=server "
              "(default: 64)",
     )
     p.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_positive, default=None, metavar="N",
         help="worker processes for the per-technique bench cells "
              "(default: 1, in-process)",
     )
     p.add_argument(
-        "--shards", type=int, default=None, metavar="K",
+        "--shards", type=_positive, metavar="K", dest="n_shards",
         help="shard count of the scatter-gather tier "
              "(engine=sharded; default: 4)",
     )
     p.add_argument(
-        "--shard-workers", type=int, default=None, metavar="N",
+        "--shard-workers", type=_positive, default=None, metavar="N",
         help="router worker processes for the sharded tier "
              "(default: 1, inline)",
     )
+    p.add_argument(
+        "--ops", type=_positive, metavar="N", dest="live_ops",
+        help="length of the interleaved query/insert/delete stream "
+             "(engine=live, tuned or sharded)",
+    )
     p.add_argument("--out", default=".",
                    help="output directory (default: current directory)")
-    p.add_argument("--buckets", type=int, default=None)
-    p.add_argument("--regions", type=int, default=None)
-    p.add_argument("--queries", type=int, default=None)
+    p.add_argument("--buckets", type=int, dest="n_buckets")
+    p.add_argument("--regions", type=int, dest="n_regions")
+    p.add_argument("--queries", type=int, dest="n_queries")
     p.add_argument(
         "--datasets", default=None,
         help="comma-separated name:size pairs, e.g. charminar:2000",
@@ -1034,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="zero all wall-clock fields so the artifact depends only "
              "on config and seeds (resume becomes byte-identical)",
     )
-    p.set_defaults(func=_cmd_bench)
+    p.set_defaults(func=_cmd_bench, preset="quick")
 
     p = sub.add_parser(
         "serve",
@@ -1068,63 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission bound on queued operations "
                         "(default: 2048)")
     p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "serve-live",
-        help="replay an interleaved query/insert/delete stream against "
-             "maintained histograms through the serving engine; write "
-             "BENCH_live.json and fail on any stale-serving mismatch",
-    )
-    p.add_argument("--name", default=None,
-                   help="artifact name (BENCH_<name>.json)")
-    p.add_argument(
-        "--dataset", default=None, metavar="NAME[:SIZE]",
-        help="dataset name:size pair, e.g. charminar:4000",
-    )
-    p.add_argument("--buckets", type=int, default=None)
-    p.add_argument("--regions", type=int, default=None)
-    p.add_argument("--queries", type=int, default=None,
-                   help="size of the final consistency-check batch")
-    p.add_argument("--ops", type=int, default=None,
-                   help="length of the interleaved operation stream")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed of the interleaved stream")
-    p.add_argument(
-        "--sharded", type=int, default=None, metavar="K",
-        help="serve through the K-shard scatter-gather tier instead "
-             "of a single engine; fails on any bit-for-bit mismatch "
-             "with the union reference or any cross-shard "
-             "invalidation",
-    )
-    p.add_argument(
-        "--shard-workers", type=int, default=None, metavar="N",
-        help="router worker processes for --sharded "
-             "(default: 1, inline)",
-    )
-    p.add_argument(
-        "--tune", action="store_true",
-        help="serve a *drifting* stream through a feedback-tuned "
-             "histogram against an equal-budget static control; fails "
-             "unless tuning strictly improved ARE with bit-identical "
-             "serving (mutually exclusive with --sharded)",
-    )
-    p.add_argument("--tune-every", type=int, default=None,
-                   help="operations between tuning passes (--tune "
-                        "only; 0 disables tuning)")
-    p.add_argument("--drift-x", type=float, default=None,
-                   help="per-insert x bias as a fraction of the MBR "
-                        "width (--tune only)")
-    p.add_argument("--drift-y", type=float, default=None,
-                   help="per-insert y bias as a fraction of the MBR "
-                        "height (--tune only)")
-    p.add_argument("--out", default=".",
-                   help="output directory (default: current directory)")
-    p.add_argument(
-        "--deterministic", action="store_true",
-        help="zero all wall-clock fields so the artifact depends only "
-             "on config and seeds",
-    )
-    p.set_defaults(func=_cmd_serve_live)
 
     p = sub.add_parser(
         "chaos",

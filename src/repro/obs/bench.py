@@ -39,13 +39,18 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Tuple, Type, Union,
+)
 
 import numpy as np
 import numpy.typing as npt
 
+from ..core.bucket import assign_by_center
+from ..core.maintenance import MaintainedHistogram
 from ..core.minskew import MinSkewPartitioner
 from ..geometry import RectSet
 from ..data import make_dataset
@@ -56,12 +61,20 @@ from ..eval import (
     build_estimator,
     build_partitioner,
 )
+from ..estimators import (
+    BucketEstimator, MaintainedEstimator, SelectivityEstimator,
+)
 from ..eval.metrics import error_summary
+from ..resilience.chaos import WorkerKillConfig, run_worker_kill_chaos
+from ..serving import (
+    BatchServingEngine, ShardedHistogram, ShardRouter, parallel_map,
+)
 from ..storage.checkpoint import CheckpointStore, config_fingerprint
 from ..storage.persist import atomic_write_text
-from ..workload import live_workload, range_queries
+from ..tuning import FeedbackCollector, FeedbackTuner
+from ..workload import LiveOp, live_workload, range_queries
 from .metrics import OBS, MetricsRegistry
-from .schema import SCHEMA_VERSION, validate_bench
+from .schema import BENCH_SCHEMA, SCHEMA_VERSION, validate_bench
 
 __all__ = [
     "BenchConfig",
@@ -71,6 +84,8 @@ __all__ = [
     "LIVE_CONFIG",
     "SERVER_CONFIG",
     "TUNING_CONFIG",
+    "PRESETS",
+    "gate_failures",
     "measure_overhead",
     "run_bench",
     "write_bench",
@@ -118,8 +133,8 @@ class BenchConfig:
     engine: str = "scalar"
     #: Worker processes for the per-technique cells (1 = in-process).
     workers: int = 1
-    #: Length of the interleaved maintenance stream (``engine="live"``
-    #: and ``engine="sharded"``).
+    #: Length of the interleaved maintenance stream (``engine="live"``,
+    #: ``"tuned"`` and ``"sharded"``).
     live_ops: int = 0
     #: Seed of the interleaved stream.
     live_seed: int = 43
@@ -145,8 +160,8 @@ class BenchConfig:
     #: the client reads that window's responses.
     server_window: int = 64
     #: Deterministic per-insert translation bias of the live stream
-    #: (fraction of the MBR extent per axis; ``engine="tuned"``).  The
-    #: default keeps the stream byte-identical to the pre-drift one.
+    #: (fraction of the MBR extent per axis).  The default keeps the
+    #: stream byte-identical to the pre-drift one.
     live_drift_xy: Tuple[float, float] = (0.0, 0.0)
     #: Operations between feedback tuning passes (``engine="tuned"``;
     #: 0 disables tuning, leaving only the static control).
@@ -160,7 +175,7 @@ class BenchConfig:
     #: a broad sample keeps the hill-climber from overfitting one
     #: burst of the stream.
     tune_window: int = 2_000
-    #: Operation mix of the ``engine="tuned"`` stream.  The defaults
+    #: Operation mix of the live stream.  The defaults
     #: match :func:`repro.workload.live_workload`; the tuning preset
     #: raises the insert share so the biased inserts actually move
     #: the distribution within the stream's length.
@@ -275,6 +290,13 @@ TUNING_CONFIG = BenchConfig(
     live_insert_frac=0.35,
 )
 
+#: Every preset by name: ``repro-spatial bench --<name>`` runs it.
+PRESETS = {
+    config.name: config
+    for config in (QUICK_CONFIG, FULL_CONFIG, SERVING_CONFIG,
+                   LIVE_CONFIG, SERVER_CONFIG, TUNING_CONFIG)
+}
+
 
 # ----------------------------------------------------------------------
 # instrumentation overhead
@@ -338,513 +360,8 @@ def measure_overhead(
 
 
 # ----------------------------------------------------------------------
-# the benchmark itself
+# the front door's load generator (engine="server")
 # ----------------------------------------------------------------------
-def _zero_overhead() -> Dict[str, float]:
-    """Overhead section of a deterministic run (no wall-clock probes)."""
-    return {
-        "disabled_counter_ns": 0.0,
-        "disabled_timer_ns": 0.0,
-        "enabled_counter_ns": 0.0,
-        "enabled_timer_ns": 0.0,
-        "minskew_disabled_s": 0.0,
-        "minskew_enabled_s": 0.0,
-    }
-
-
-def _scrub_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
-    """Zero the wall-clock fields of one technique record in place."""
-    cell["build_seconds"] = 0.0
-    cell["estimate_seconds"] = 0.0
-    for key in ("scalar_seconds", "engine_seconds", "speedup"):
-        if key in cell:
-            cell[key] = 0.0
-    live = cell.get("live")
-    if isinstance(live, dict):
-        live["replay_seconds"] = 0.0
-    tuned = cell.get("tuned")
-    if isinstance(tuned, dict):
-        tuned["replay_seconds"] = 0.0
-    metrics = cell.get("metrics")
-    if isinstance(metrics, dict):
-        metrics["timers"] = {}
-    sharded = cell.get("sharded")
-    if isinstance(sharded, dict):
-        sharded["single_engine_seconds"] = 0.0
-        sharded["replay_seconds"] = 0.0
-    server = cell.get("server")
-    if isinstance(server, dict):
-        # batch composition depends on event-loop timing, so every
-        # derived quantity is wall-clock-tainted except the request
-        # count, the knobs, and the bit-identity verdict
-        for key in (
-            "batches", "avg_batch", "shed",
-            "batched_seconds", "batched_qps", "p50_ms", "p99_ms",
-            "single_seconds", "single_qps",
-            "single_p50_ms", "single_p99_ms", "speedup",
-        ):
-            server[key] = 0 if key in ("batches", "shed") else 0.0
-    return cell
-
-
-def _bench_sharded_technique(
-    technique: str,
-    data: "RectSet",
-    queries: "RectSet",
-    truth: "npt.NDArray[np.float64]",
-    config: BenchConfig,
-) -> Dict[str, Any]:
-    """One technique's sharded scatter-gather cell.
-
-    The technique's partitioner runs once per shard (the bucket budget
-    is apportioned by :func:`repro.serving.shard_quotas`); the query
-    workload is served through a :class:`~repro.serving.ShardRouter`
-    and differentially gated bit-for-bit against the
-    :class:`~repro.serving.ShardUnionEstimator` single-engine
-    reference (``sharded.sharded_matches``).  With ``config.live_ops``
-    set, an interleaved mutation stream is then routed through the
-    router and the cell records whether every mutation moved the
-    owning shard's epoch *only*
-    (``sharded.owner_only_invalidation``) — followed by a second
-    differential gate over the post-stream state.
-
-    The cell closes with a ``sharded.recovery`` block: a worker-kill
-    chaos run (write-ahead-logged shards, SIGKILLed workers, WAL
-    replay on respawn) recording request survival, respawns, replayed
-    ops, the degraded-dispatch fraction, and whether the recovered
-    tier matched the union reference bit-for-bit.  Every field is
-    logical/deterministic, so the block is stable across machines.
-    """
-    from ..serving import ShardedHistogram, ShardRouter
-
-    OBS.reset()
-    start = time.perf_counter()
-    sharded = ShardedHistogram.build(
-        data,
-        n_shards=config.n_shards,
-        n_buckets=config.n_buckets,
-        partitioner_factory=lambda quota: build_partitioner(
-            technique, quota, n_regions=config.n_regions
-        ),
-        n_regions=config.n_regions,
-    )
-    build_seconds = time.perf_counter() - start
-
-    router = ShardRouter(sharded, workers=config.shard_workers)
-    try:
-        start = time.perf_counter()
-        served = router.estimate_batch(queries)
-        estimate_seconds = time.perf_counter() - start
-        serve_counters = dict(OBS.snapshot()["counters"])
-
-        union = sharded.union_estimator()
-        start = time.perf_counter()
-        reference = union.estimate_batch(queries)
-        single_engine_seconds = time.perf_counter() - start
-        sharded_matches = bool(np.array_equal(served, reference))
-
-        mutations = 0
-        owner_only = True
-        n_ops = 0
-        replay_seconds = 0.0
-        if config.live_ops > 0:
-            ops = live_workload(
-                data, config.qsize, config.live_ops,
-                seed=config.live_seed,
-            )
-            n_ops = len(ops)
-            start = time.perf_counter()
-            for op in ops:
-                if op.kind == "query":
-                    router.estimate(op.rect)
-                    continue
-                before = sharded.epochs()
-                if op.kind == "insert":
-                    sid = router.insert(op.rect)
-                    moved = True
-                else:
-                    sid, moved = router.delete(op.rect)
-                mutations += 1
-                after = sharded.epochs()
-                for i, (b, a) in enumerate(zip(before, after)):
-                    if (a != b) != (i == sid and moved):
-                        owner_only = False
-            replay_seconds = time.perf_counter() - start
-            post = router.estimate_batch(queries)
-            sharded_matches = sharded_matches and bool(
-                np.array_equal(post, union.estimate_batch(queries))
-            )
-        size_words = int(router.size_words())
-        shard_sizes = [len(s) for s in sharded.shards]
-        shard_buckets = [len(s.buckets) for s in sharded.shards]
-    finally:
-        router.close()
-
-    n_queries = len(queries)
-    fanout = int(serve_counters.get("serving.shard.fanout", 0))
-    skipped = int(serve_counters.get("serving.shard.skipped", 0))
-    subqueries = int(
-        serve_counters.get("serving.shard.subqueries", 0)
-    )
-    summary = error_summary(truth, served)
-    snapshot = OBS.snapshot()
-    counters = snapshot["counters"]
-
-    # fault-tolerance cell, run after the snapshot above because the
-    # harness resets the (global) OBS registry: SIGKILL workers
-    # mid-stream over a fresh write-ahead-logged tier and record the
-    # recovery contract (all logical/deterministic quantities —
-    # nothing to scrub)
-    from ..resilience.chaos import WorkerKillConfig, \
-        run_worker_kill_chaos
-
-    kill_report = run_worker_kill_chaos(
-        WorkerKillConfig(
-            n_shards=config.n_shards,
-            n_buckets=config.n_buckets,
-            n_regions=min(config.n_regions, 512),
-            workers=max(2, config.shard_workers),
-            n_batches=6,
-            batch_size=25,
-            qsize=config.qsize,
-            query_seed=config.query_seed,
-        ),
-        data=data,
-        partitioner_factory=lambda quota: build_partitioner(
-            technique, quota,
-            n_regions=min(config.n_regions, 512),
-        ),
-    )
-    recovery = {
-        "requests": kill_report.requests,
-        "survived": kill_report.survived,
-        "kills": kill_report.kills,
-        "respawns": kill_report.respawns,
-        "replayed_ops": kill_report.replayed_ops,
-        "degraded_fraction": kill_report.degraded_fraction,
-        "recovered_matches": (
-            kill_report.recovered_matches
-            and kill_report.digests_match
-        ),
-    }
-    return {
-        "technique": technique,
-        "build_seconds": build_seconds,
-        "estimate_seconds": estimate_seconds,
-        "size_words": size_words,
-        "accuracy": {
-            "average_relative_error": summary.average_relative_error,
-            "mean_per_query_error": summary.mean_per_query_error,
-            "median_per_query_error": summary.median_per_query_error,
-            "rmse": summary.rmse,
-            "n_queries": summary.n_queries,
-        },
-        "metrics": snapshot,
-        "sharded": {
-            "n_shards": int(sharded.n_shards),
-            "workers": int(config.shard_workers),
-            "shard_sizes": shard_sizes,
-            "shard_buckets": shard_buckets,
-            "fanout": fanout,
-            "skipped": skipped,
-            "subqueries": subqueries,
-            "fanout_rate": (
-                subqueries / (n_queries * sharded.n_shards)
-                if n_queries else 0.0
-            ),
-            "avg_shards_per_query": (
-                subqueries / n_queries if n_queries else 0.0
-            ),
-            "single_engine_seconds": single_engine_seconds,
-            "replay_seconds": replay_seconds,
-            "ops": n_ops,
-            "mutations": mutations,
-            "owner_only_invalidation": owner_only,
-            "shard_epoch_bumps": [
-                int(counters.get(
-                    f"serving.shard.epoch_bumps.s{i}", 0
-                ))
-                for i in range(sharded.n_shards)
-            ],
-            "routed_mutations": int(
-                counters.get("serving.shard.routed_mutations", 0)
-            ),
-            "sharded_matches": sharded_matches,
-            "recovery": recovery,
-        },
-    }
-
-
-def _bench_live_technique(
-    technique: str,
-    data: "RectSet",
-    queries: "RectSet",
-    config: BenchConfig,
-) -> Dict[str, Any]:
-    """One technique's live-serving cell.
-
-    The technique's partitioner seeds a
-    :class:`~repro.core.maintenance.MaintainedHistogram`, which a
-    :class:`~repro.serving.BatchServingEngine` serves through a
-    :class:`~repro.estimators.MaintainedEstimator` while the
-    interleaved ``live_workload`` stream mutates it (refreshing
-    whenever drift crosses the histogram's threshold).  The cell's
-    ``live.live_matches`` field records the staleness contract: after
-    the whole stream, the engine's batch answers — cache, index, and
-    kernel snapshot included — are bit-identical to a freshly built
-    engine over the same buckets.  Accuracy is scored against exact
-    ground truth over the *final* data, which is what the histogram
-    summarises by then.
-    """
-    from ..core.maintenance import MaintainedHistogram
-    from ..estimators import BucketEstimator, MaintainedEstimator
-    from ..serving import BatchServingEngine
-
-    OBS.reset()
-    start = time.perf_counter()
-    hist = MaintainedHistogram(
-        build_partitioner(
-            technique, config.n_buckets, n_regions=config.n_regions
-        ),
-        data,
-        drift_threshold=config.live_drift,
-    )
-    build_seconds = time.perf_counter() - start
-
-    estimator = MaintainedEstimator(hist, name=technique)
-    engine = BatchServingEngine(estimator)
-    ops = live_workload(
-        data, config.qsize, config.live_ops, seed=config.live_seed
-    )
-    counts = {"query": 0, "insert": 0, "delete": 0}
-    start = time.perf_counter()
-    for op in ops:
-        counts[op.kind] += 1
-        if op.kind == "query":
-            engine.estimate(op.rect)
-        elif op.kind == "insert":
-            hist.insert(op.rect)
-        else:
-            hist.delete(op.rect)
-        if op.kind != "query" and hist.needs_refresh:
-            hist.refresh()
-    replay_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    served = engine.estimate_batch(queries)
-    estimate_seconds = time.perf_counter() - start
-
-    # the differential gate: a from-scratch engine over the final
-    # buckets must agree bit-for-bit with the long-lived one
-    fresh = BatchServingEngine(
-        BucketEstimator(list(hist.buckets), name=technique)
-    )
-    live_matches = bool(
-        np.array_equal(served, fresh.estimate_batch(queries))
-    )
-
-    final_data = hist.current_data()
-    truth = ExperimentRunner(final_data).true_counts(queries)
-    summary = error_summary(truth, served)
-    snapshot = OBS.snapshot()
-    counters = snapshot["counters"]
-    return {
-        "technique": technique,
-        "build_seconds": build_seconds,
-        "estimate_seconds": estimate_seconds,
-        "size_words": int(estimator.size_words()),
-        "accuracy": {
-            "average_relative_error": summary.average_relative_error,
-            "mean_per_query_error": summary.mean_per_query_error,
-            "median_per_query_error": summary.median_per_query_error,
-            "rmse": summary.rmse,
-            "n_queries": summary.n_queries,
-        },
-        "metrics": snapshot,
-        "live": {
-            "ops": len(ops),
-            "queries": counts["query"],
-            "inserts": counts["insert"],
-            "deletes": counts["delete"],
-            "refreshes": int(
-                counters.get("maintenance.refreshes", 0)
-            ),
-            "final_epoch": int(hist.epoch),
-            "final_n": int(len(final_data)),
-            "cache_flushes": int(
-                engine.cache.flushes if engine.cache else 0
-            ),
-            "estimator_rebuilds": int(
-                counters.get("serving.epoch.estimator_rebuilds", 0)
-            ),
-            "index_rebuilds": int(
-                counters.get("serving.epoch.index_rebuilds", 0)
-            ),
-            "replay_seconds": replay_seconds,
-            "live_matches": live_matches,
-        },
-    }
-
-
-def _bench_tuned_technique(
-    technique: str,
-    data: "RectSet",
-    config: BenchConfig,
-) -> Dict[str, Any]:
-    """One technique's query-feedback self-tuning cell.
-
-    Two identically built maintained histograms replay the same
-    *drifting* live stream (``config.live_drift_xy`` biases every
-    insert, so the hotspot migrates instead of diffusing).  The tuned
-    side serves through an engine with a
-    :class:`~repro.tuning.FeedbackCollector` attached; every
-    ``config.tune_every`` operations the collected queries are drained
-    and a :class:`~repro.tuning.FeedbackTuner` pass re-splits the
-    worst-estimating buckets (merging cold accurate neighbours to pay
-    for them).  The static side answers the same queries but is never
-    restructured.  Neither side auto-refreshes: the differential
-    isolates what feedback tuning buys at a fixed bucket budget.
-
-    Scoring replays the paper's query model over the *final* data —
-    the drifted reality both histograms now summarise — against the
-    exact counting oracle.  ``tuned.tuned_matches`` is the epoch
-    contract: the long-lived tuned engine's batch answers must be
-    bit-identical to a freshly built engine over the tuned buckets.
-    ``tuned.count_conserved`` checks the tuned summaries still account
-    for exactly the covered rows after interleaved tuning and
-    maintenance.
-    """
-    from ..core.bucket import assign_by_center
-    from ..core.maintenance import MaintainedHistogram
-    from ..estimators import BucketEstimator, MaintainedEstimator
-    from ..serving import BatchServingEngine
-    from ..tuning import FeedbackCollector, FeedbackTuner
-
-    OBS.reset()
-    start = time.perf_counter()
-
-    def built() -> MaintainedHistogram:
-        return MaintainedHistogram(
-            build_partitioner(
-                technique, config.n_buckets, n_regions=config.n_regions
-            ),
-            data,
-            drift_threshold=config.live_drift,
-        )
-
-    tuned_hist = built()
-    static_hist = built()
-    build_seconds = time.perf_counter() - start
-
-    collector = FeedbackCollector(sample_every=config.feedback_sample)
-    estimator = MaintainedEstimator(tuned_hist, name=technique)
-    engine = BatchServingEngine(estimator, feedback=collector)
-    static_engine = BatchServingEngine(
-        MaintainedEstimator(static_hist, name=technique)
-    )
-    tuner = FeedbackTuner(tuned_hist, max_ops=config.tune_max_ops)
-
-    ops = live_workload(
-        data,
-        config.qsize,
-        config.live_ops,
-        seed=config.live_seed,
-        drift=config.live_drift_xy,
-        query_frac=config.live_query_frac,
-        insert_frac=config.live_insert_frac,
-    )
-    counts = {"query": 0, "insert": 0, "delete": 0}
-    window: List["npt.NDArray[np.float64]"] = []
-    start = time.perf_counter()
-    for i, op in enumerate(ops, 1):
-        counts[op.kind] += 1
-        if op.kind == "query":
-            engine.estimate(op.rect)
-            static_engine.estimate(op.rect)
-        elif op.kind == "insert":
-            tuned_hist.insert(op.rect)
-            static_hist.insert(op.rect)
-        else:
-            tuned_hist.delete(op.rect)
-            static_hist.delete(op.rect)
-        if config.tune_every and i % config.tune_every == 0:
-            feedback, _ = collector.drain()
-            if len(feedback):
-                window.append(feedback.coords)
-                sample = np.concatenate(window)[-config.tune_window:]
-                tuner.tune(RectSet(sample, copy=False, validate=False))
-    replay_seconds = time.perf_counter() - start
-
-    # score both sides where the data *ended up*: the paper's query
-    # model regenerated over the post-drift rows
-    final_data = tuned_hist.current_data()
-    eval_queries = range_queries(
-        final_data, config.qsize, config.n_queries,
-        seed=config.query_seed,
-    )
-    start = time.perf_counter()
-    served = engine.estimate_batch(eval_queries)
-    estimate_seconds = time.perf_counter() - start
-    served_static = static_engine.estimate_batch(eval_queries)
-
-    fresh = BatchServingEngine(
-        BucketEstimator(list(tuned_hist.buckets), name=technique)
-    )
-    tuned_matches = bool(
-        np.array_equal(served, fresh.estimate_batch(eval_queries))
-    )
-
-    boxes = [b.bbox for b in tuned_hist.buckets]
-    covered = int((assign_by_center(final_data, boxes) >= 0).sum())
-    total_count = int(round(sum(b.count for b in tuned_hist.buckets)))
-
-    truth = ExperimentRunner(final_data).true_counts(eval_queries)
-    summary = error_summary(truth, served)
-    are_tuned = summary.average_relative_error
-    are_static = error_summary(
-        truth, served_static
-    ).average_relative_error
-
-    snapshot = OBS.snapshot()
-    counters = snapshot["counters"]
-    return {
-        "technique": technique,
-        "build_seconds": build_seconds,
-        "estimate_seconds": estimate_seconds,
-        "size_words": int(estimator.size_words()),
-        "accuracy": {
-            "average_relative_error": summary.average_relative_error,
-            "mean_per_query_error": summary.mean_per_query_error,
-            "median_per_query_error": summary.median_per_query_error,
-            "rmse": summary.rmse,
-            "n_queries": summary.n_queries,
-        },
-        "metrics": snapshot,
-        "tuned": {
-            "ops": len(ops),
-            "queries": counts["query"],
-            "inserts": counts["insert"],
-            "deletes": counts["delete"],
-            "tuning_passes": int(counters.get("tuning.passes", 0)),
-            "tuning_pairs": int(counters.get("tuning.splits", 0)),
-            "feedback_observed": int(
-                counters.get("tuning.observed", 0)
-            ),
-            "feedback_scored": int(counters.get("tuning.scored", 0)),
-            "final_epoch": int(tuned_hist.epoch),
-            "final_n": int(len(final_data)),
-            "n_buckets_static": int(len(static_hist.buckets)),
-            "n_buckets_tuned": int(len(tuned_hist.buckets)),
-            "count_conserved": bool(total_count == covered),
-            "are_static": float(are_static),
-            "are_tuned": float(are_tuned),
-            "improvement": float(are_static - are_tuned),
-            "replay_seconds": replay_seconds,
-            "tuned_matches": tuned_matches,
-        },
-    }
-
-
 def _frontdoor_client(
     host: str,
     port: int,
@@ -919,17 +436,16 @@ def _frontdoor_client(
 def _frontdoor_run(
     backend: Any,
     queries: "RectSet",
-    *,
-    concurrency: int,
+    config: BenchConfig,
     max_batch: int,
     wait_steps: int,
-    window: int,
 ) -> Tuple["npt.NDArray[np.float64]", "npt.NDArray[np.float64]",
            float, Dict[str, float]]:
     """Serve ``queries`` through a front door over ``backend``.
 
-    ``concurrency`` client processes split the workload and drive it
-    with ``window``-deep pipelining (:func:`_frontdoor_client`).
+    ``config.concurrency`` client processes split the workload and
+    drive it with ``config.server_window``-deep pipelining
+    (:func:`_frontdoor_client`).
     Returns ``(values, per-request latencies in seconds, wall seconds,
     batcher stats)``.  The caller passes a stateless backend (shard
     caches off) so the batched and the ``max_batch=1`` run see
@@ -948,7 +464,7 @@ def _frontdoor_run(
     try:
         ctx = mp.get_context("spawn")
         out_q = ctx.Queue()
-        n_clients = max(1, min(concurrency, n))
+        n_clients = max(1, min(config.concurrency, n))
         barrier = ctx.Barrier(n_clients + 1)
         slices = np.array_split(
             np.arange(n, dtype=np.int64), n_clients
@@ -957,7 +473,7 @@ def _frontdoor_run(
             ctx.Process(
                 target=_frontdoor_client,
                 args=(front.host, front.port, coords[rows], rows,
-                      max(1, window), out_q, barrier),
+                      max(1, config.server_window), out_q, barrier),
             )
             for rows in slices
         ]
@@ -980,34 +496,344 @@ def _frontdoor_run(
     return values, latencies, seconds, stats
 
 
-def _bench_server_technique(
-    technique: str,
-    data: "RectSet",
-    queries: "RectSet",
-    truth: "npt.NDArray[np.float64]",
-    config: BenchConfig,
-) -> Dict[str, Any]:
-    """One technique's front-door latency/throughput cell.
+# ----------------------------------------------------------------------
+# engine kinds: how each builds its stack and what it gates
+# ----------------------------------------------------------------------
+@dataclass
+class _Run:
+    """What :func:`_run_cell` measured, handed to a kind's hooks."""
 
-    The backend is the sharded scatter-gather tier (the same layout
-    ``engine="sharded"`` benches, shard caches off so both runs are
-    stateless).  Two complete runs over the same workload: the
-    micro-batched front door (``config.server_max_batch``,
-    ``config.concurrency`` pipelined client processes) and the *same*
-    server path pinned to ``max_batch=1`` — the honest
-    single-query-per-call dispatch baseline, since both pay identical
-    framing, event-loop, and client costs and differ only in
-    coalescing.  ``server.speedup`` is the qps ratio;
-    ``server.server_matches`` gates both runs bit-for-bit against a
-    direct ``router.estimate_batch`` call.  Latency percentiles are
-    client-observed (window send to reply arrival), in milliseconds.
-    The cell's ``metrics`` cover the build and the batched run only.
+    #: the scored batch and its exact answers
+    queries: RectSet
+    truth: "npt.NDArray[np.float64]"
+    estimate_seconds: float = 0.0
+    #: counters right after the scored batch, and at the window's end
+    batch_counters: Dict[str, Any] = field(default_factory=dict)
+    counters: Dict[str, Any] = field(default_factory=dict)
+    #: replayed op stream, per op kind
+    ops: "Counter[str]" = field(default_factory=Counter)
+    replay_seconds: float = 0.0
+
+
+class _Stack:
+    """How one ``BenchConfig.engine`` kind builds and gates a cell.
+
+    :func:`_run_cell` owns the rest.  A kind builds its serving stack
+    in :meth:`build` (timed as ``build_seconds``), answers a batch in
+    :meth:`serve` (the scored call is timed as ``estimate_seconds``),
+    applies one op of the ``live_workload`` stream in :meth:`apply`,
+    records its gate against its reference path in :meth:`check`
+    (inside the metrics window), and returns its extra cell fields
+    from :meth:`record` (after the window closed).
     """
-    from ..serving import ShardedHistogram, ShardRouter
 
-    OBS.reset()
-    start = time.perf_counter()
-    sharded = ShardedHistogram.build(
+    #: cell key of the extra block (``""``: fields at the top level)
+    block = ""
+    #: the extra block's wall-clock fields, zeroed by ``deterministic``
+    timed: Tuple[str, ...] = ()
+    #: when the op stream (``config.live_ops``) replays: ``"before"``
+    #: the scored batch, which then answers the rows it left behind;
+    #: ``"after"`` it, re-checking the gate over the new state; or
+    #: ``""``, never
+    stream = ""
+    #: what :meth:`serve` and :meth:`size_words` go through
+    backend: SelectivityEstimator
+
+    def __init__(
+        self, technique: str, data: RectSet, config: BenchConfig
+    ) -> None:
+        self.technique = technique
+        self.config = config
+        self.build(data)
+
+    def build(self, data: RectSet) -> None:
+        raise NotImplementedError
+
+    def serve(self, queries: RectSet) -> "npt.NDArray[np.float64]":
+        return self.backend.estimate_batch(queries)
+
+    def size_words(self) -> int:
+        return int(self.backend.size_words())
+
+    def apply(self, op: LiveOp) -> None:
+        raise NotImplementedError
+
+    def scored(
+        self, queries: RectSet, truth: "npt.NDArray[np.float64]"
+    ) -> Tuple[RectSet, "npt.NDArray[np.float64]"]:
+        """The batch the accuracy block scores, and its exact answers."""
+        return queries, truth
+
+    def check(self, run: _Run, served: "npt.NDArray[np.float64]") -> None:
+        """Gate ``served`` against the kind's reference path."""
+
+    def record(self, run: _Run) -> Dict[str, Any]:
+        """The kind's extra cell fields."""
+        return {}
+
+    def close(self) -> None:
+        """Release the stack's worker processes."""
+
+
+class _Scalar(_Stack):
+    """The technique's own batch kernel."""
+
+    def build(self, data: RectSet) -> None:
+        self.backend = self.estimator = build_estimator(
+            self.technique, data, self.config.n_buckets,
+            n_regions=self.config.n_regions,
+        )
+
+
+class _Batch(_Scalar):
+    """The vectorised kernel against the scalar loop and the engine.
+
+    ``scalar_seconds`` times the one-query-at-a-time loop *before*
+    the serving engine attaches its bucket index (the pre-serving
+    reference path), ``speedup`` is its ratio to the kernel's time,
+    ``engine_seconds`` times the full :class:`repro.serving
+    .BatchServingEngine` (cold cache, auto-built index), and
+    ``scalar_matches`` records that all three agreed to exact float
+    equality.
+    """
+
+    timed = ("scalar_seconds", "engine_seconds", "speedup")
+
+    def check(self, run: _Run, served: "npt.NDArray[np.float64]") -> None:
+        start = time.perf_counter()
+        scalar = np.array(
+            [self.estimator.estimate(q) for q in run.queries],
+            dtype=np.float64,
+        )
+        self.scalar_seconds = time.perf_counter() - start
+        engine = BatchServingEngine(self.estimator)
+        start = time.perf_counter()
+        engine_estimates = engine.estimate_batch(run.queries)
+        self.engine_seconds = time.perf_counter() - start
+        self.matches = bool(
+            np.array_equal(scalar, served)
+            and np.array_equal(scalar, engine_estimates)
+        )
+
+    def record(self, run: _Run) -> Dict[str, Any]:
+        return {
+            "scalar_seconds": self.scalar_seconds,
+            "engine_seconds": self.engine_seconds,
+            "speedup": (
+                self.scalar_seconds / run.estimate_seconds
+                if run.estimate_seconds > 0.0 else 0.0
+            ),
+            "scalar_matches": self.matches,
+        }
+
+
+def _maintained(
+    technique: str, data: RectSet, config: BenchConfig
+) -> MaintainedHistogram:
+    return MaintainedHistogram(
+        build_partitioner(
+            technique, config.n_buckets, n_regions=config.n_regions
+        ),
+        data,
+        drift_threshold=config.live_drift,
+    )
+
+
+class _Live(_Stack):
+    """A maintained histogram served while the op stream mutates it.
+
+    The technique's partitioner seeds a
+    :class:`~repro.core.maintenance.MaintainedHistogram`, served by a
+    :class:`~repro.serving.BatchServingEngine` through a
+    :class:`~repro.estimators.MaintainedEstimator`; the stream's
+    mutations refresh it whenever drift crosses its threshold.
+    ``live.live_matches`` is the staleness contract: after the whole
+    stream, the engine's batch answers — cache, index, and kernel
+    snapshot included — are bit-identical to a freshly built engine's
+    over the same buckets.  Accuracy is scored against exact ground
+    truth over the rows the stream left behind.
+    """
+
+    block = "live"
+    timed = ("replay_seconds",)
+    stream = "before"
+
+    def build(self, data: RectSet) -> None:
+        self.hist = _maintained(self.technique, data, self.config)
+        self.backend = self.engine = BatchServingEngine(
+            MaintainedEstimator(self.hist, name=self.technique)
+        )
+
+    def apply(self, op: LiveOp) -> None:
+        if op.kind == "query":
+            self.engine.estimate(op.rect)
+            return
+        if op.kind == "insert":
+            self.hist.insert(op.rect)
+        else:
+            self.hist.delete(op.rect)
+        if self.hist.needs_refresh:
+            self.hist.refresh()
+
+    def scored(
+        self, queries: RectSet, truth: "npt.NDArray[np.float64]"
+    ) -> Tuple[RectSet, "npt.NDArray[np.float64]"]:
+        final = self.hist.current_data()
+        return queries, ExperimentRunner(final).true_counts(queries)
+
+    def check(self, run: _Run, served: "npt.NDArray[np.float64]") -> None:
+        fresh = BatchServingEngine(
+            BucketEstimator(list(self.hist.buckets), name=self.technique)
+        )
+        self.matches = bool(
+            np.array_equal(served, fresh.estimate_batch(run.queries))
+        )
+
+    def _stream_fields(self, run: _Run) -> Dict[str, Any]:
+        return {
+            "ops": sum(run.ops.values()),
+            "queries": run.ops["query"],
+            "inserts": run.ops["insert"],
+            "deletes": run.ops["delete"],
+            "final_epoch": int(self.hist.epoch),
+            "final_n": len(self.hist),
+            "replay_seconds": run.replay_seconds,
+        }
+
+    def record(self, run: _Run) -> Dict[str, Any]:
+        counters = run.counters
+        cache = self.engine.cache
+        return {"live": {
+            **self._stream_fields(run),
+            "refreshes": int(counters.get("maintenance.refreshes", 0)),
+            "cache_flushes": int(cache.flushes if cache else 0),
+            "estimator_rebuilds": int(
+                counters.get("serving.epoch.estimator_rebuilds", 0)
+            ),
+            "index_rebuilds": int(
+                counters.get("serving.epoch.index_rebuilds", 0)
+            ),
+            "live_matches": self.matches,
+        }}
+
+
+class _Tuned(_Live):
+    """Query-feedback self-tuning against a static control.
+
+    Two identically built maintained histograms replay the same
+    *drifting* stream (``config.live_drift_xy`` biases every insert,
+    so the hotspot migrates instead of diffusing).  The tuned side
+    serves through an engine with a
+    :class:`~repro.tuning.FeedbackCollector` attached; every
+    ``config.tune_every`` operations the collected queries are drained
+    and a :class:`~repro.tuning.FeedbackTuner` pass re-splits the
+    worst-estimating buckets (merging cold accurate neighbours to pay
+    for them).  The static side answers the same queries but is never
+    restructured.  Neither side auto-refreshes: the differential
+    isolates what feedback tuning buys at a fixed bucket budget.
+
+    Scoring regenerates the paper's query model over the *final* rows
+    — the drifted reality both histograms now summarise.
+    ``tuned.tuned_matches`` is the epoch contract (the long-lived
+    tuned engine is bit-identical to a fresh one over the tuned
+    buckets); ``tuned.count_conserved`` checks the tuned summaries
+    still account for exactly the covered rows.
+    """
+
+    block = "tuned"
+
+    def build(self, data: RectSet) -> None:
+        super().build(data)
+        self.collector = FeedbackCollector(
+            sample_every=self.config.feedback_sample
+        )
+        self.engine.feedback = self.collector
+        self.static_hist = _maintained(self.technique, data, self.config)
+        self.static_engine = BatchServingEngine(
+            MaintainedEstimator(self.static_hist, name=self.technique)
+        )
+        self.tuner = FeedbackTuner(
+            self.hist, max_ops=self.config.tune_max_ops
+        )
+        self.window: List["npt.NDArray[np.float64]"] = []
+        self.step = 0
+
+    def apply(self, op: LiveOp) -> None:
+        if op.kind == "query":
+            self.engine.estimate(op.rect)
+            self.static_engine.estimate(op.rect)
+        else:
+            for hist in (self.hist, self.static_hist):
+                if op.kind == "insert":
+                    hist.insert(op.rect)
+                else:
+                    hist.delete(op.rect)
+        self.step += 1
+        every = self.config.tune_every
+        if every and self.step % every == 0:
+            feedback, _ = self.collector.drain()
+            if len(feedback):
+                # score the most recent tune_window collected queries,
+                # not just this drain, so one burst cannot overfit
+                self.window.append(feedback.coords)
+                sample = np.concatenate(self.window)[
+                    -self.config.tune_window:
+                ]
+                self.tuner.tune(RectSet(sample, copy=False, validate=False))
+
+    def scored(
+        self, queries: RectSet, truth: "npt.NDArray[np.float64]"
+    ) -> Tuple[RectSet, "npt.NDArray[np.float64]"]:
+        final = self.hist.current_data()
+        regenerated = range_queries(
+            final, self.config.qsize, self.config.n_queries,
+            seed=self.config.query_seed,
+        )
+        return regenerated, ExperimentRunner(final).true_counts(
+            regenerated
+        )
+
+    def check(self, run: _Run, served: "npt.NDArray[np.float64]") -> None:
+        static = self.static_engine.estimate_batch(run.queries)
+        self.are_static = error_summary(
+            run.truth, static
+        ).average_relative_error
+        self.are_tuned = error_summary(
+            run.truth, served
+        ).average_relative_error
+        super().check(run, served)
+
+    def record(self, run: _Run) -> Dict[str, Any]:
+        counters = run.counters
+        buckets = self.hist.buckets
+        covered = assign_by_center(
+            self.hist.current_data(), [b.bbox for b in buckets]
+        )
+        return {"tuned": {
+            **self._stream_fields(run),
+            "tuning_passes": int(counters.get("tuning.passes", 0)),
+            "tuning_pairs": int(counters.get("tuning.splits", 0)),
+            "feedback_observed": int(counters.get("tuning.observed", 0)),
+            "feedback_scored": int(counters.get("tuning.scored", 0)),
+            "n_buckets_static": len(self.static_hist.buckets),
+            "n_buckets_tuned": len(buckets),
+            "count_conserved": bool(
+                int(round(sum(b.count for b in buckets)))
+                == int((covered >= 0).sum())
+            ),
+            "are_static": float(self.are_static),
+            "are_tuned": float(self.are_tuned),
+            "improvement": float(self.are_static - self.are_tuned),
+            "tuned_matches": self.matches,
+        }}
+
+
+def _sharded(
+    technique: str, data: RectSet, config: BenchConfig, **options: Any
+) -> ShardedHistogram:
+    """The technique's partitioner once per Min-Skew shard box (the
+    bucket budget apportioned by :func:`repro.serving.shard_quotas`)."""
+    return ShardedHistogram.build(
         data,
         n_shards=config.n_shards,
         n_buckets=config.n_buckets,
@@ -1015,194 +841,313 @@ def _bench_server_technique(
             technique, quota, n_regions=config.n_regions
         ),
         n_regions=config.n_regions,
-        cache_size=0,
+        **options,
     )
-    build_seconds = time.perf_counter() - start
-
-    router = ShardRouter(sharded, workers=1)
-    try:
-        reference = router.estimate_batch(queries)
-
-        batched_values, batched_lat, batched_seconds, stats = \
-            _frontdoor_run(
-                router, queries,
-                concurrency=config.concurrency,
-                max_batch=config.server_max_batch,
-                wait_steps=config.server_wait_steps,
-                window=config.server_window,
-            )
-        # the cell's metrics cover the batched run only; the baseline
-        # below must not pool its counters into them
-        metrics = OBS.snapshot()
-        single_values, single_lat, single_seconds, _ = _frontdoor_run(
-            router, queries,
-            concurrency=config.concurrency,
-            max_batch=1,
-            wait_steps=0,
-            window=config.server_window,
-        )
-        size_words = int(router.size_words())
-    finally:
-        router.close()
-
-    n = len(queries)
-    server_matches = bool(
-        np.array_equal(batched_values, reference)
-        and np.array_equal(single_values, reference)
-    )
-    summary = error_summary(truth, batched_values)
-    return {
-        "technique": technique,
-        "build_seconds": build_seconds,
-        "estimate_seconds": batched_seconds,
-        "size_words": size_words,
-        "accuracy": {
-            "average_relative_error": summary.average_relative_error,
-            "mean_per_query_error": summary.mean_per_query_error,
-            "median_per_query_error": summary.median_per_query_error,
-            "rmse": summary.rmse,
-            "n_queries": summary.n_queries,
-        },
-        "metrics": metrics,
-        "server": {
-            "concurrency": int(config.concurrency),
-            "max_batch": int(config.server_max_batch),
-            "wait_steps": int(config.server_wait_steps),
-            "window": int(config.server_window),
-            "requests": int(n),
-            "batches": int(stats["batches"]),
-            "avg_batch": float(stats["avg_batch"]),
-            "shed": int(stats["shed"]),
-            "batched_seconds": batched_seconds,
-            "batched_qps": (
-                n / batched_seconds if batched_seconds > 0 else 0.0
-            ),
-            "p50_ms": float(np.percentile(batched_lat, 50) * 1e3),
-            "p99_ms": float(np.percentile(batched_lat, 99) * 1e3),
-            "single_seconds": single_seconds,
-            "single_qps": (
-                n / single_seconds if single_seconds > 0 else 0.0
-            ),
-            "single_p50_ms": float(
-                np.percentile(single_lat, 50) * 1e3
-            ),
-            "single_p99_ms": float(
-                np.percentile(single_lat, 99) * 1e3
-            ),
-            "speedup": (
-                single_seconds / batched_seconds
-                if batched_seconds > 0 else 0.0
-            ),
-            "server_matches": server_matches,
-        },
-    }
 
 
-def _bench_technique(
-    technique: str,
-    data: "RectSet",
-    queries: "RectSet",
-    truth: "npt.NDArray[np.float64]",
-    config: BenchConfig,
-) -> Dict[str, Any]:
-    """Build + evaluate one technique with a fresh metrics window.
+class _Sharded(_Stack):
+    """The scatter-gather tier against the single-engine reference.
 
-    With ``config.engine == "batch"`` the workload is served through
-    :class:`repro.serving.BatchServingEngine` (cold cache, auto-built
-    bucket index) and the cell additionally records the scalar
-    one-query-at-a-time loop's wall clock (``scalar_seconds``,
-    measured *before* the index is attached — the pre-serving
-    reference path), the resulting ``speedup``, and whether the two
-    paths agreed to exact float equality (``scalar_matches``).
+    The workload is served through a
+    :class:`~repro.serving.ShardRouter` and gated bit-for-bit against
+    the :class:`~repro.serving.ShardUnionEstimator` union reference
+    (``sharded.sharded_matches``).  The op stream is then routed
+    through the router; ``sharded.owner_only_invalidation`` records
+    whether every mutation moved the owning shard's epoch *only*, and
+    the gate is re-checked over the post-stream state.
 
-    ``config.engine == "live"`` cells are built by
-    :func:`_bench_live_technique` instead (the ``truth`` argument is
-    unused there — live cells score against the post-stream data).
+    ``sharded.recovery`` is a worker-kill chaos run over a fresh
+    write-ahead-logged tier (SIGKILLed workers, WAL replay on
+    respawn): request survival, respawns, replayed ops, the
+    degraded-dispatch fraction, and whether the recovered tier matched
+    the union reference bit-for-bit.  Every field is logical, so the
+    block is stable across machines.
     """
-    if config.engine == "live":
-        return _bench_live_technique(technique, data, queries, config)
-    if config.engine == "tuned":
-        return _bench_tuned_technique(technique, data, config)
-    if config.engine == "sharded":
-        return _bench_sharded_technique(
-            technique, data, queries, truth, config
+
+    block = "sharded"
+    timed = ("single_engine_seconds", "replay_seconds")
+    stream = "after"
+
+    def build(self, data: RectSet) -> None:
+        self.data = data
+        self.sharded = _sharded(self.technique, data, self.config)
+        self.backend = self.router = ShardRouter(
+            self.sharded, workers=self.config.shard_workers
         )
-    if config.engine == "server":
-        return _bench_server_technique(
-            technique, data, queries, truth, config
+        self.union = self.sharded.union_estimator()
+        self.matches = True
+        self.owner_only = True
+        self.single_engine_seconds = 0.0
+
+    def apply(self, op: LiveOp) -> None:
+        if op.kind == "query":
+            self.router.estimate(op.rect)
+            return
+        before = self.sharded.epochs()
+        if op.kind == "insert":
+            sid, moved = self.router.insert(op.rect), True
+        else:
+            sid, moved = self.router.delete(op.rect)
+        after = self.sharded.epochs()
+        self.owner_only = self.owner_only and all(
+            (a != b) == (i == sid and moved)
+            for i, (b, a) in enumerate(zip(before, after))
         )
-    OBS.reset()
-    start = time.perf_counter()
-    estimator = build_estimator(
-        technique,
-        data,
-        config.n_buckets,
-        n_regions=config.n_regions,
-    )
-    build_seconds = time.perf_counter() - start
 
-    extra: Dict[str, Any] = {}
-    if config.engine == "batch":
-        from ..serving import BatchServingEngine
-
+    def check(self, run: _Run, served: "npt.NDArray[np.float64]") -> None:
         start = time.perf_counter()
-        scalar = np.array(
-            [estimator.estimate(q) for q in queries], dtype=np.float64
+        reference = self.union.estimate_batch(run.queries)
+        self.single_engine_seconds = time.perf_counter() - start
+        self.matches = self.matches and bool(
+            np.array_equal(served, reference)
         )
-        scalar_seconds = time.perf_counter() - start
 
-        # the vectorised kernel itself: this is the speedup CI gates on
-        start = time.perf_counter()
-        estimates = estimator.estimate_batch(queries)
-        estimate_seconds = time.perf_counter() - start
-
-        # the full serving stack (cold cache + auto-attached index) on
-        # the same workload; its per-query bookkeeping is Python-side,
-        # so it is slower than the bare kernel but must still beat the
-        # scalar loop
-        served = BatchServingEngine(estimator)
-        start = time.perf_counter()
-        engine_estimates = served.estimate_batch(queries)
-        engine_seconds = time.perf_counter() - start
-        extra = {
-            "scalar_seconds": scalar_seconds,
-            "engine_seconds": engine_seconds,
-            "speedup": (
-                scalar_seconds / estimate_seconds
-                if estimate_seconds > 0.0 else 0.0
+    def record(self, run: _Run) -> Dict[str, Any]:
+        n_queries = len(run.queries)
+        n_shards = self.sharded.n_shards
+        served = run.batch_counters
+        subqueries = int(served.get("serving.shard.subqueries", 0))
+        return {"sharded": {
+            "n_shards": int(n_shards),
+            "workers": int(self.config.shard_workers),
+            "shard_sizes": [len(s) for s in self.sharded.shards],
+            "shard_buckets": [len(s.buckets) for s in self.sharded.shards],
+            "fanout": int(served.get("serving.shard.fanout", 0)),
+            "skipped": int(served.get("serving.shard.skipped", 0)),
+            "subqueries": subqueries,
+            "fanout_rate": (
+                subqueries / (n_queries * n_shards) if n_queries else 0.0
             ),
-            "scalar_matches": bool(
-                np.array_equal(scalar, estimates)
-                and np.array_equal(scalar, engine_estimates)
+            "avg_shards_per_query": (
+                subqueries / n_queries if n_queries else 0.0
+            ),
+            "single_engine_seconds": self.single_engine_seconds,
+            "replay_seconds": run.replay_seconds,
+            "ops": sum(run.ops.values()),
+            "mutations": run.ops["insert"] + run.ops["delete"],
+            "owner_only_invalidation": self.owner_only,
+            "shard_epoch_bumps": [
+                int(run.counters.get(f"serving.shard.epoch_bumps.s{i}", 0))
+                for i in range(n_shards)
+            ],
+            "routed_mutations": int(
+                run.counters.get("serving.shard.routed_mutations", 0)
+            ),
+            "sharded_matches": self.matches,
+            "recovery": self._recovery(),
+        }}
+
+    def _recovery(self) -> Dict[str, Any]:
+        # the chaos harness resets the global OBS registry, so this
+        # runs after the window; the bench router's pool goes first
+        self.router.close()
+        config = self.config
+        n_regions = min(config.n_regions, 512)
+        report = run_worker_kill_chaos(
+            WorkerKillConfig(
+                n_shards=config.n_shards,
+                n_buckets=config.n_buckets,
+                n_regions=n_regions,
+                workers=max(2, config.shard_workers),
+                n_batches=6,
+                batch_size=25,
+                qsize=config.qsize,
+                query_seed=config.query_seed,
+            ),
+            data=self.data,
+            partitioner_factory=lambda quota: build_partitioner(
+                self.technique, quota, n_regions=n_regions
+            ),
+        )
+        return {
+            "requests": report.requests,
+            "survived": report.survived,
+            "kills": report.kills,
+            "respawns": report.respawns,
+            "replayed_ops": report.replayed_ops,
+            "degraded_fraction": report.degraded_fraction,
+            "recovered_matches": (
+                report.recovered_matches and report.digests_match
             ),
         }
-    else:
-        start = time.perf_counter()
-        estimates = estimator.estimate_many(queries)
-        estimate_seconds = time.perf_counter() - start
 
-    summary = error_summary(truth, estimates)
-    cell = {
-        "technique": technique,
-        "build_seconds": build_seconds,
-        "estimate_seconds": estimate_seconds,
-        "size_words": int(estimator.size_words()),
-        "accuracy": {
-            "average_relative_error": summary.average_relative_error,
-            "mean_per_query_error": summary.mean_per_query_error,
-            "median_per_query_error": summary.median_per_query_error,
-            "rmse": summary.rmse,
-            "n_queries": summary.n_queries,
-        },
-        "metrics": OBS.snapshot(),
-    }
-    cell.update(extra)
+    def close(self) -> None:
+        self.router.close()
+
+
+class _Server(_Stack):
+    """The micro-batching TCP front door against single dispatch.
+
+    The backend is the sharded tier with shard caches off, so every
+    run is stateless.  The scored run is the micro-batched front door
+    (``config.server_max_batch``, ``config.concurrency`` pipelined
+    client processes).  After the metrics window — which so covers
+    only the build and the batched run — the *same* server path runs
+    pinned to ``max_batch=1``: the honest single-query-per-call
+    baseline, paying identical framing, event-loop, and client costs.
+    ``server.speedup`` is the qps ratio; ``server.server_matches``
+    gates both runs bit-for-bit against a direct
+    ``router.estimate_batch`` call.  Latency percentiles are
+    client-observed (window send to reply arrival), in milliseconds.
+    """
+
+    block = "server"
+    # batch composition depends on event-loop timing, so every derived
+    # quantity is wall-clock-tainted except the request count, the
+    # knobs, and the bit-identity verdict
+    timed = (
+        "batches", "avg_batch", "shed",
+        "batched_seconds", "batched_qps", "p50_ms", "p99_ms",
+        "single_seconds", "single_qps",
+        "single_p50_ms", "single_p99_ms", "speedup",
+    )
+
+    def build(self, data: RectSet) -> None:
+        self.backend = self.router = ShardRouter(
+            _sharded(self.technique, data, self.config, cache_size=0),
+            workers=1,
+        )
+
+    def serve(self, queries: RectSet) -> "npt.NDArray[np.float64]":
+        self.batched = _frontdoor_run(
+            self.router, queries, self.config,
+            self.config.server_max_batch, self.config.server_wait_steps,
+        )
+        return self.batched[0]
+
+    def record(self, run: _Run) -> Dict[str, Any]:
+        reference = self.router.estimate_batch(run.queries)
+        single, single_lat, single_seconds, _ = _frontdoor_run(
+            self.router, run.queries, self.config, 1, 0
+        )
+        values, latencies, seconds, stats = self.batched
+        n = len(run.queries)
+        config = self.config
+        return {
+            "estimate_seconds": seconds,
+            "server": {
+                "concurrency": int(config.concurrency),
+                "max_batch": int(config.server_max_batch),
+                "wait_steps": int(config.server_wait_steps),
+                "window": int(config.server_window),
+                "requests": int(n),
+                "batches": int(stats["batches"]),
+                "avg_batch": float(stats["avg_batch"]),
+                "shed": int(stats["shed"]),
+                "batched_seconds": seconds,
+                "batched_qps": n / seconds if seconds > 0 else 0.0,
+                "p50_ms": float(np.percentile(latencies, 50) * 1e3),
+                "p99_ms": float(np.percentile(latencies, 99) * 1e3),
+                "single_seconds": single_seconds,
+                "single_qps": (
+                    n / single_seconds if single_seconds > 0 else 0.0
+                ),
+                "single_p50_ms": float(
+                    np.percentile(single_lat, 50) * 1e3
+                ),
+                "single_p99_ms": float(
+                    np.percentile(single_lat, 99) * 1e3
+                ),
+                "speedup": (
+                    single_seconds / seconds if seconds > 0 else 0.0
+                ),
+                "server_matches": bool(
+                    np.array_equal(values, reference)
+                    and np.array_equal(single, reference)
+                ),
+            },
+        }
+
+    def close(self) -> None:
+        self.router.close()
+
+
+_KINDS: Dict[str, Type[_Stack]] = {
+    "scalar": _Scalar,
+    "batch": _Batch,
+    "live": _Live,
+    "tuned": _Tuned,
+    "sharded": _Sharded,
+    "server": _Server,
+}
+
+
+# ----------------------------------------------------------------------
+# the cell runner
+# ----------------------------------------------------------------------
+def _replay(stack: _Stack, ops: List[LiveOp], run: _Run) -> None:
+    start = time.perf_counter()
+    for op in ops:
+        run.ops[op.kind] += 1
+        stack.apply(op)
+    run.replay_seconds = time.perf_counter() - start
+
+
+def _run_cell(
+    technique: str,
+    data: RectSet,
+    queries: RectSet,
+    truth: "npt.NDArray[np.float64]",
+    config: BenchConfig,
+    deterministic: bool = False,
+) -> Dict[str, Any]:
+    """Build, replay, serve and score one technique in a fresh
+    metrics window.
+
+    The engine kind (:data:`_KINDS`) supplies the stack, its gate and
+    its extra block; everything else happens here, in one order for
+    every kind.  ``deterministic`` zeroes the cell's wall-clock fields.
+    """
+    kind = _KINDS[config.engine]
+    OBS.reset()
+    start = time.perf_counter()
+    stack = kind(technique, data, config)
+    build_seconds = time.perf_counter() - start
+    try:
+        ops = live_workload(
+            data, config.qsize, config.live_ops,
+            seed=config.live_seed,
+            drift=config.live_drift_xy,
+            query_frac=config.live_query_frac,
+            insert_frac=config.live_insert_frac,
+        ) if kind.stream and config.live_ops else []
+        run = _Run(queries, truth)
+        if kind.stream == "before":
+            _replay(stack, ops, run)
+        run.queries, run.truth = stack.scored(queries, truth)
+        start = time.perf_counter()
+        served = stack.serve(run.queries)
+        run.estimate_seconds = time.perf_counter() - start
+        run.batch_counters = dict(OBS.snapshot()["counters"])
+        stack.check(run, served)
+        if kind.stream == "after" and ops:
+            _replay(stack, ops, run)
+            stack.check(run, stack.serve(run.queries))
+        cell: Dict[str, Any] = {
+            "technique": technique,
+            "build_seconds": build_seconds,
+            "estimate_seconds": run.estimate_seconds,
+            "size_words": stack.size_words(),
+            "accuracy": asdict(error_summary(run.truth, served)),
+            "metrics": OBS.snapshot(),
+        }
+        run.counters = cell["metrics"]["counters"]
+        cell.update(stack.record(run))
+    finally:
+        stack.close()
+    if deterministic:
+        cell["build_seconds"] = cell["estimate_seconds"] = 0.0
+        cell["metrics"]["timers"] = {}
+        fields = cell[kind.block] if kind.block else cell
+        for key in kind.timed:
+            # zero in the field's own type, so counts stay integers
+            fields[key] = type(fields[key])(0)
     return cell
 
 
 def _bench_cell_task(
-    task: Tuple[str, "RectSet", "RectSet",
-                "npt.NDArray[np.float64]", BenchConfig],
+    task: Tuple[str, RectSet, RectSet, "npt.NDArray[np.float64]",
+                BenchConfig, bool],
 ) -> Dict[str, Any]:
     """Worker-side cell evaluation for parallel bench runs.
 
@@ -1210,9 +1155,8 @@ def _bench_cell_task(
     worker's registry for the *merge* path, but bench cells carry
     their own per-cell snapshot instead).
     """
-    technique, data, queries, truth, config = task
     OBS.enable()
-    return _bench_technique(technique, data, queries, truth, config)
+    return _run_cell(*task)
 
 
 def _bench_dataset(
@@ -1255,25 +1199,19 @@ def _bench_dataset(
         }
         if store is not None:
             store.save(meta_key, meta)
+        tasks = [
+            (technique, data, queries, truth, config, deterministic)
+            for technique in missing
+        ]
+        fresh: Iterable[Dict[str, Any]]
         if config.workers > 1:
-            from ..serving import parallel_map
-
-            tasks = [
-                (technique, data, queries, truth, config)
-                for technique in missing
-            ]
             fresh = parallel_map(
                 _bench_cell_task, tasks, workers=config.workers
             )
         else:
-            fresh = [
-                _bench_technique(technique, data, queries, truth,
-                                 config)
-                for technique in missing
-            ]
+            # lazily, so each cell is checkpointed as soon as it lands
+            fresh = (_run_cell(*task) for task in tasks)
         for technique, cell in zip(missing, fresh):
-            if deterministic:
-                cell = _scrub_cell(cell)
             cells[technique] = cell
             if store is not None:
                 store.save(f"{dataset}:{n}:{technique}", cell)
@@ -1281,6 +1219,35 @@ def _bench_dataset(
     record = dict(meta)
     record["techniques"] = [cells[t] for t in config.techniques]
     return record
+
+
+#: boolean cell fields that must hold, besides every ``*_matches``
+_INVARIANTS = ("owner_only_invalidation", "count_conserved")
+
+
+def gate_failures(fields: Dict[str, Any], prefix: str = "") -> List[str]:
+    """The consistency gates a technique cell records as failed.
+
+    Returns dotted field paths (``"sharded.sharded_matches"``), empty
+    when every gate holds.  The gates are the bit-for-bit ``*_matches``
+    differentials, ``owner_only_invalidation``, ``count_conserved``,
+    worker-kill survival (``recovery.survived == recovery.requests``)
+    and the tuned cell's ``improvement > 0``; no timing field is one.
+    """
+    failed = [
+        prefix + key
+        for key, value in sorted(fields.items())
+        if (key.endswith("_matches") or key in _INVARIANTS)
+        and value is not True
+    ]
+    if "survived" in fields and fields["survived"] != fields["requests"]:
+        failed.append(prefix + "survived")
+    if "improvement" in fields and not fields["improvement"] > 0:
+        failed.append(prefix + "improvement")
+    for key, value in sorted(fields.items()):
+        if isinstance(value, dict) and key != "metrics":
+            failed += gate_failures(value, f"{prefix}{key}.")
+    return failed
 
 
 def run_bench(
@@ -1298,42 +1265,23 @@ def run_bench(
     resumed run is byte-identical to a fresh one).
     """
     start = time.perf_counter()
+    # every field but the name, tuples as JSON lists
+    fields = json.loads(json.dumps(asdict(config)))
+    del fields["name"]
     store: Optional[CheckpointStore] = None
     if checkpoint_dir is not None:
-        fingerprint = config_fingerprint(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "name": config.name,
-                "datasets": [list(pair) for pair in config.datasets],
-                "n_buckets": config.n_buckets,
-                "n_regions": config.n_regions,
-                "n_queries": config.n_queries,
-                "qsize": config.qsize,
-                "query_seed": config.query_seed,
-                "techniques": list(config.techniques),
-                "engine": config.engine,
-                "live_ops": config.live_ops,
-                "live_seed": config.live_seed,
-                "live_drift": config.live_drift,
-                "n_shards": config.n_shards,
-                "shard_workers": config.shard_workers,
-                "concurrency": config.concurrency,
-                "server_max_batch": config.server_max_batch,
-                "server_wait_steps": config.server_wait_steps,
-                "server_window": config.server_window,
-                "live_drift_xy": list(config.live_drift_xy),
-                "tune_every": config.tune_every,
-                "tune_max_ops": config.tune_max_ops,
-                "feedback_sample": config.feedback_sample,
-                "tune_window": config.tune_window,
-                "live_query_frac": config.live_query_frac,
-                "live_insert_frac": config.live_insert_frac,
-                "deterministic": deterministic,
-            }
-        )
+        fingerprint = config_fingerprint({
+            **fields,
+            "schema_version": SCHEMA_VERSION,
+            "name": config.name,
+            "deterministic": deterministic,
+        })
         store = CheckpointStore(checkpoint_dir, fingerprint)
 
-    overhead = _zero_overhead() if deterministic else measure_overhead()
+    # a deterministic run zeroes every overhead field the schema names
+    overhead = dict.fromkeys(
+        BENCH_SCHEMA["properties"]["overhead"]["required"], 0.0
+    ) if deterministic else measure_overhead()
 
     datasets: List[Dict[str, Any]] = []
     with OBS.scope():
@@ -1355,33 +1303,7 @@ def run_bench(
         "schema_version": SCHEMA_VERSION,
         "name": config.name,
         "created_unix": 0.0 if deterministic else time.time(),
-        "config": {
-            "datasets": [list(pair) for pair in config.datasets],
-            "n_buckets": config.n_buckets,
-            "n_regions": config.n_regions,
-            "n_queries": config.n_queries,
-            "qsize": config.qsize,
-            "query_seed": config.query_seed,
-            "techniques": list(config.techniques),
-            "engine": config.engine,
-            "workers": config.workers,
-            "live_ops": config.live_ops,
-            "live_seed": config.live_seed,
-            "live_drift": config.live_drift,
-            "n_shards": config.n_shards,
-            "shard_workers": config.shard_workers,
-            "concurrency": config.concurrency,
-            "server_max_batch": config.server_max_batch,
-            "server_wait_steps": config.server_wait_steps,
-            "server_window": config.server_window,
-            "live_drift_xy": list(config.live_drift_xy),
-            "tune_every": config.tune_every,
-            "tune_max_ops": config.tune_max_ops,
-            "feedback_sample": config.feedback_sample,
-            "tune_window": config.tune_window,
-            "live_query_frac": config.live_query_frac,
-            "live_insert_frac": config.live_insert_frac,
-        },
+        "config": fields,
         "environment": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,

@@ -250,3 +250,26 @@ def test_instrumentation_silent_when_disabled(small_charminar):
     assert OBS.snapshot() == {
         "counters": {}, "timers": {}, "histograms": {}
     }
+
+
+@pytest.mark.parametrize("cell, failed", [
+    ({"scalar_matches": True, "metrics": {"counters": {"a_matches": 0}}},
+     []),
+    ({"scalar_matches": False}, ["scalar_matches"]),
+    ({"live": {"live_matches": False}}, ["live.live_matches"]),
+    ({"tuned": {"tuned_matches": True, "count_conserved": False,
+                "improvement": 0.0}},
+     ["tuned.count_conserved", "tuned.improvement"]),
+    ({"sharded": {"sharded_matches": True,
+                  "owner_only_invalidation": False,
+                  "recovery": {"requests": 6, "survived": 5,
+                               "recovered_matches": True}}},
+     ["sharded.owner_only_invalidation", "sharded.recovery.survived"]),
+    # a timing field is never a gate, however bad
+    ({"server": {"server_matches": True, "requests": 600,
+                 "speedup": 0.0}}, []),
+])
+def test_bench_gate_failures_name_each_false_gate(cell, failed):
+    from repro.obs.bench import gate_failures
+
+    assert gate_failures(cell) == failed

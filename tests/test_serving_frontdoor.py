@@ -580,6 +580,11 @@ class TestServerBenchSmoke:
         assert server["batches"] >= 1
         assert server["p99_ms"] >= server["p50_ms"] >= 0.0
         assert server["single_qps"] > 0.0 and server["batched_qps"] > 0.0
+        # the cell's metrics cover the build and the batched run only:
+        # neither the direct-router reference nor the max_batch=1
+        # baseline is counted in them
+        counters = cell["metrics"]["counters"]
+        assert counters["serving.shard.queries"] == server["requests"]
 
 
 def _json_frame(obj):
