@@ -447,9 +447,9 @@ def _frontdoor_run(
     drive it with ``config.server_window``-deep pipelining
     (:func:`_frontdoor_client`).
     Returns ``(values, per-request latencies in seconds, wall seconds,
-    batcher stats)``.  The caller passes a stateless backend (shard
-    caches off) so the batched and the ``max_batch=1`` run see
-    identical per-dispatch work regardless of order.
+    batcher stats)``.  The caller passes a stateless backend (one
+    that caches no answers) so the batched and the ``max_batch=1``
+    run see identical per-dispatch work regardless of order.
     """
     import multiprocessing as mp
 
@@ -829,7 +829,7 @@ class _Tuned(_Live):
 
 
 def _sharded(
-    technique: str, data: RectSet, config: BenchConfig, **options: Any
+    technique: str, data: RectSet, config: BenchConfig
 ) -> ShardedHistogram:
     """The technique's partitioner once per Min-Skew shard box (the
     bucket budget apportioned by :func:`repro.serving.shard_quotas`)."""
@@ -841,7 +841,6 @@ def _sharded(
             technique, quota, n_regions=config.n_regions
         ),
         n_regions=config.n_regions,
-        **options,
     )
 
 
@@ -978,13 +977,15 @@ class _Sharded(_Stack):
 class _Server(_Stack):
     """The micro-batching TCP front door against single dispatch.
 
-    The backend is the sharded tier with shard caches off, so every
-    run is stateless.  The scored run is the micro-batched front door
-    (``config.server_max_batch``, ``config.concurrency`` pipelined
-    client processes).  After the metrics window — which so covers
-    only the build and the batched run — the *same* server path runs
-    pinned to ``max_batch=1``: the honest single-query-per-call
-    baseline, paying identical framing, event-loop, and client costs.
+    The backend is the sharded tier, whose shards answer every
+    sub-batch straight from their kernels and keep no per-query
+    state, so every run is stateless.  The scored run is the
+    micro-batched front door (``config.server_max_batch``,
+    ``config.concurrency`` pipelined client processes).  After the
+    metrics window — which so covers only the build and the batched
+    run — the *same* server path runs pinned to ``max_batch=1``: the
+    honest single-query-per-call baseline, paying identical framing,
+    event-loop, and client costs.
     ``server.speedup`` is the qps ratio; ``server.server_matches``
     gates both runs bit-for-bit against a direct
     ``router.estimate_batch`` call.  Latency percentiles are
@@ -1004,8 +1005,7 @@ class _Server(_Stack):
 
     def build(self, data: RectSet) -> None:
         self.backend = self.router = ShardRouter(
-            _sharded(self.technique, data, self.config, cache_size=0),
-            workers=1,
+            _sharded(self.technique, data, self.config), workers=1,
         )
 
     def serve(self, queries: RectSet) -> "npt.NDArray[np.float64]":

@@ -19,7 +19,7 @@ fast without changing a single answer:
   bench harness to parallelise sweeps across techniques and datasets;
 * the **sharded scatter-gather tier** — :class:`ShardPlan` (Min-Skew
   as the shard-boundary algorithm), :class:`ShardedHistogram` (one
-  live histogram + engine per shard, independent epochs),
+  live histogram + kernel snapshot per shard, independent epochs),
   :class:`ShardRouter` (clip, fan out inline or over a
   :class:`ShardWorkerPool` of pinned workers, sum partials), and
   :class:`ShardUnionEstimator` (the single-engine differential

@@ -29,7 +29,7 @@ one long-lived ``multiprocessing.Process`` per slot, connected by a
 pipe.  Each shard object is explicitly ``pickle.dumps``-ed to its
 worker at startup — never smuggled in through a fork snapshot — so
 whatever state survives pickling is exactly the state that serves
-(the engine's ``__getstate__`` regression tests ride on this).
+(the shard's ``__getstate__`` drops its WAL handle on this boundary).
 Replies are received in request order over per-worker FIFO pipes, and
 worker metric snapshots are merged in that same order, so results and
 counter totals are independent of scheduling.

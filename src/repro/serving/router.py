@@ -10,7 +10,9 @@ query batch it
    shards no query can touch;
 3. clips each sub-batch to the routing box and fans it out — inline
    for ``workers <= 1``, over the long-lived deterministic
-   :class:`~repro.serving.parallel.ShardWorkerPool` otherwise;
+   :class:`~repro.serving.parallel.ShardWorkerPool` otherwise — where
+   each shard answers it with one pass of its own kernel
+   (:meth:`~repro.serving.shard.HistogramShard.estimate_batch_coords`);
 4. scatters the partial estimates back, accumulating in shard-id
    order, which keeps the answer bit-identical to the
    :class:`~repro.serving.shard.ShardUnionEstimator` single-engine
@@ -27,9 +29,9 @@ failures drive its :class:`~repro.serving.supervision.ShardHealth`
 quarantine state machine (healthy → suspect → quarantined →
 recovering).  A quarantined shard — or one that exhausted its retries
 — is served by its **degraded partial**: the shard's ``Uniform@s<id>``
-last resort over its routing box, computed parent-side and never
-cached.  The batch therefore always completes with a well-defined
-answer; the shards that were served degraded are annotated on
+last resort over its routing box, computed parent-side.  The batch
+therefore always completes with a well-defined answer; the shards that
+were served degraded are annotated on
 :attr:`ShardRouter.degraded_shards` after every serve.  Each shard
 dispatch announces the ``serving.worker.s<id>`` fault site, so chaos
 plans can fail specific shards deterministically.
@@ -344,8 +346,7 @@ class ShardRouter(SelectivityEstimator):
         clipped: "npt.NDArray[np.float64]",
     ) -> "npt.NDArray[np.float64]":
         """The shard's Uniform last resort over its sub-batch —
-        computed parent-side, bypassing (and never populating) any
-        cache."""
+        computed parent-side, without dispatching to the shard."""
         est = shard.degraded_estimator()
         if est is None:
             return np.zeros(clipped.shape[0], dtype=np.float64)
@@ -355,7 +356,7 @@ class ShardRouter(SelectivityEstimator):
         )
 
     def estimate(self, query: Rect) -> float:
-        """Scalar serve: per-shard engine calls, shard-order sum."""
+        """Scalar serve: per-shard kernel calls, shard-order sum."""
         validate_extent(
             query.x1, query.y1, query.x2, query.y2, what="query"
         )

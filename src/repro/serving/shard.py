@@ -1,13 +1,15 @@
 """Sharding a live histogram with Min-Skew shard boundaries.
 
 The scatter-gather tier splits the data space into ``K`` disjoint shard
-boxes and hosts one full serving stack — a
-:class:`~repro.core.maintenance.MaintainedHistogram`, a
-:class:`~repro.estimators.MaintainedEstimator` and a
-:class:`~repro.serving.BatchServingEngine` — per shard, each with an
-independent epoch.  A mutation routes to the *owning* shard only, so an
-insert invalidates one shard's cache and index instead of the whole
-tier.
+boxes and hosts one live summary — a
+:class:`~repro.core.maintenance.MaintainedHistogram` and the
+:class:`~repro.estimators.MaintainedEstimator` kernel snapshot over it
+— per shard, each with an independent epoch.  A mutation routes to the
+*owning* shard only, so an insert re-snapshots one shard's kernel
+instead of the whole tier's.  A shard serves every dispatched
+sub-batch straight from that kernel — validation, ``sync()`` and one
+vectorised pass over a few dozen buckets — which costs less than any
+cache lookup or index probe put in front of it.
 
 **Min-Skew is the shard-boundary algorithm.**  :class:`ShardPlan` runs
 the paper's own partitioner with a bucket quota of ``K``: the top-level
@@ -70,7 +72,6 @@ from ..resilience import (
     StepClock,
 )
 from ..tuning import FeedbackTuner, TuningReport
-from .engine import DEFAULT_CACHE_SIZE, BatchServingEngine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .wal import ShardWAL
@@ -285,7 +286,7 @@ def _shard_chain(
 
 
 class HistogramShard:
-    """One shard: plan box, live histogram, serving engine, epoch.
+    """One shard: plan box, live histogram, kernel snapshot, epoch.
 
     The histogram is created lazily — a shard that received no
     rectangles at build time materialises its stack on the first
@@ -302,8 +303,6 @@ class HistogramShard:
         data: RectSet,
         *,
         drift_threshold: float = 0.2,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        auto_index: bool = True,
         auto_refresh: bool = True,
         guarded: bool = False,
     ) -> None:
@@ -311,15 +310,12 @@ class HistogramShard:
         self.box = box
         self._partitioner = partitioner
         self._drift_threshold = drift_threshold
-        self._cache_size = cache_size
-        self._auto_index = auto_index
         self._auto_refresh = auto_refresh
         self._guarded = guarded
         self._epoch_base = 0
         self.hist: Optional[MaintainedHistogram] = None
         self.estimator: Optional[MaintainedEstimator] = None
         self.chain: Optional[GuardedEstimator] = None
-        self.engine: Optional[BatchServingEngine] = None
         self._routing_epoch = -1
         self._routing_box: Optional[Rect] = None
         self._wal: Optional["ShardWAL"] = None
@@ -336,22 +332,20 @@ class HistogramShard:
         self._build_stack(data)
 
     def _build_stack(self, data: RectSet) -> None:
-        """Estimator/chain/engine around the current histogram."""
+        """Estimator (and guarded chain) around the current histogram."""
         assert self.hist is not None
         self.estimator = MaintainedEstimator(
             self.hist, name=self._partitioner.name
         )
-        inner: SelectivityEstimator = self.estimator
         if self._guarded:
             self.chain = _shard_chain(
                 self.estimator, data, self.shard_id
             )
-            inner = self.chain
-        self.engine = BatchServingEngine(
-            inner,
-            cache_size=self._cache_size,
-            auto_index=self._auto_index,
-        )
+
+    def _served(self) -> Optional[SelectivityEstimator]:
+        """What answers this shard's queries: the guarded chain when
+        there is one, else the estimator (``None`` before creation)."""
+        return self.chain if self.chain is not None else self.estimator
 
     # ------------------------------------------------------------------
     @property
@@ -386,19 +380,21 @@ class HistogramShard:
     def estimate_batch_coords(
         self, coords: "npt.NDArray[np.float64]"
     ) -> "npt.NDArray[np.float64]":
-        """Serve an ``(M, 4)`` coordinate block through the engine."""
-        if self.engine is None:
+        """Serve an ``(M, 4)`` coordinate block in one kernel pass."""
+        served = self._served()
+        if served is None:
             return np.zeros(coords.shape[0], dtype=np.float64)
         queries = RectSet(coords, copy=False, validate=False)
-        return self.engine.estimate_batch(queries)
+        return served.estimate_batch(queries)
 
     def estimate_one(
         self, x1: float, y1: float, x2: float, y2: float
     ) -> float:
-        """Serve one (already clipped) query through the engine."""
-        if self.engine is None:
+        """Serve one (already clipped) query in one kernel pass."""
+        served = self._served()
+        if served is None:
             return 0.0
-        return self.engine.estimate(Rect(x1, y1, x2, y2))
+        return served.estimate(Rect(x1, y1, x2, y2))
 
     # ------------------------------------------------------------------
     # maintenance (also the pool-worker entry points)
@@ -456,7 +452,7 @@ class HistogramShard:
         the shard's contribution to the union answer.  The tuner
         publishes through the histogram's ``replace_buckets`` (one
         epoch bump), which the shard :attr:`epoch`, the
-        :meth:`routing_box` cache, the engine's revalidation, and any
+        :meth:`routing_box` cache, the estimator's ``sync()``, and any
         union reference all pick up through the normal staleness
         machinery.  Deliberately not WAL-journaled: a tuned layout
         lost to a crash is re-derivable from future feedback, while
@@ -520,8 +516,8 @@ class HistogramShard:
         The histogram is rebuilt via
         :meth:`~repro.core.maintenance.MaintainedHistogram.from_state`
         (no re-partitioning — drifted bucket statistics are restored
-        verbatim) and the serving stack re-created around it; caches,
-        indexes and routing boxes start cold and rebuild on demand.
+        verbatim) and the estimator re-created around it; routing
+        boxes and degraded estimators start cold and rebuild on demand.
         """
         self._epoch_base = int(state["epoch_base"])
         hist_state = state["hist"]
@@ -529,7 +525,6 @@ class HistogramShard:
             self.hist = None
             self.estimator = None
             self.chain = None
-            self.engine = None
         else:
             self.hist = MaintainedHistogram.from_state(
                 self._partitioner, hist_state,
@@ -560,8 +555,6 @@ class HistogramShard:
             self._partitioner,
             RectSet.empty(),
             drift_threshold=self._drift_threshold,
-            cache_size=self._cache_size,
-            auto_index=self._auto_index,
             auto_refresh=self._auto_refresh,
             guarded=self._guarded,
         )
@@ -584,11 +577,11 @@ class HistogramShard:
     def degraded_estimator(self) -> Optional[UniformEstimator]:
         """The shard's ``Uniform@s<id>`` last resort, parent-side.
 
-        Built over the live data and cached per epoch.  The router
+        Built over the live data and kept per epoch.  The router
         serves a quarantined or repeatedly failing shard's partial
-        through this estimator directly — never through the engine,
-        so degraded answers are never cached.  ``None`` means the
-        shard holds no data and its partial is exactly zero.
+        through this estimator directly, without dispatching to the
+        shard.  ``None`` means the shard holds no data and its partial
+        is exactly zero.
         """
         if self.hist is None or len(self.hist) == 0:
             return None
@@ -608,7 +601,7 @@ class HistogramShard:
 
 
 class ShardedHistogram:
-    """A Min-Skew-sharded live histogram: plan + one stack per shard."""
+    """A Min-Skew-sharded live histogram: plan + one summary per shard."""
 
     def __init__(
         self,
@@ -639,12 +632,10 @@ class ShardedHistogram:
         plan_regions: int = DEFAULT_PLAN_REGIONS,
         n_regions: int = 2_500,
         drift_threshold: float = 0.2,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        auto_index: bool = True,
         auto_refresh: bool = True,
         guarded: bool = False,
     ) -> "ShardedHistogram":
-        """Plan the shard boxes and build one serving stack each.
+        """Plan the shard boxes and build one live summary each.
 
         ``partitioner_factory`` maps a per-shard bucket quota to a
         fresh partitioner (default: Min-Skew over ``n_regions``
@@ -683,8 +674,6 @@ class ShardedHistogram:
                     factory(quota),
                     sub,
                     drift_threshold=drift_threshold,
-                    cache_size=cache_size,
-                    auto_index=auto_index,
                     auto_refresh=auto_refresh,
                     guarded=guarded,
                 )

@@ -15,7 +15,7 @@ recorded successes/failures and elapsed steps — no wall time:
 * **quarantined**: the breaker opened (``failure_threshold``
   consecutive failures); the router stops dispatching to the shard
   entirely and serves its partial degraded (the shard's
-  ``Uniform@s<id>`` last resort, never cached).
+  ``Uniform@s<id>`` last resort, computed parent-side).
 * **recovering**: the breaker's cooldown elapsed (half-open); the next
   serve is a trial — success closes the loop back to healthy, failure
   re-quarantines.

@@ -983,6 +983,24 @@ class TestMutationSelfTest:
         lines = source.splitlines(keepends=True)
         del lines[span[0] - 1:span[1]]
         engine.write_text("".join(lines))
+        # shards no longer carry an engine to pool workers; hand one
+        # back to the worker payload so the reachability half has an
+        # id()-keyed engine crossing the ShardWorkerPool boundary
+        shard = tree_copy / "serving" / "shard.py"
+        source = shard.read_text()
+        held = "        self.chain: Optional[GuardedEstimator] = None\n"
+        imports = "from ..tuning import FeedbackTuner, TuningReport\n"
+        assert held in source and imports in source, (
+            "HistogramShard no longer matches the mutation template; "
+            "update this test alongside the shard"
+        )
+        shard.write_text(source.replace(
+            held,
+            held + "        self.engine: "
+                   "Optional[BatchServingEngine] = None\n",
+        ).replace(
+            imports, imports + "from .engine import BatchServingEngine\n"
+        ))
         result = lint_project([tree_copy])
         pickled = [
             v for v in result.violations if v.rule == "PICKLE001"

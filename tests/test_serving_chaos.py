@@ -330,22 +330,6 @@ class TestShardedChaos:
         )
         assert not np.array_equal(second, first)
 
-    def test_degraded_partial_is_not_cached_by_the_shard(
-        self, data, queries, capture_counters
-    ):
-        _, _, router = self._faulted_serve(
-            data, queries, capture_counters
-        )
-        engine = router.sharded.shards[0].engine
-        assert len(engine.cache) == 0
-        for shard in router.sharded.shards[1:]:
-            _, clipped = self._subbatch(
-                router.sharded, queries, shard.shard_id
-            )
-            assert len(shard.engine.cache) == len(
-                {tuple(row) for row in clipped}
-            )
-
 
 class TestLazyLinkIndexing:
     def test_lazily_built_link_is_indexed_on_discovery(

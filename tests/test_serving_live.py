@@ -216,8 +216,8 @@ class TestScalarBatchAgreementLive:
 
 class TestShardedLiveMaintenance:
     """Live maintenance against the sharded tier: a mutation stream
-    invalidates only the owning shard — the others keep their epochs,
-    caches, and indexes — while answers stay bit-identical to a fresh
+    invalidates only the owning shard — the others keep their epochs
+    and kernel snapshots — while answers stay bit-identical to a fresh
     single-engine rebuild over the current buckets."""
 
     def _sharded(self, **kwargs):
@@ -230,7 +230,7 @@ class TestShardedLiveMaintenance:
 
     def _cluster_sharded(self):
         """Two well-separated clusters → two shards whose routing
-        boxes cannot overlap, so per-shard cache behaviour is
+        boxes cannot overlap, so per-shard kernel re-snapshots are
         observable in isolation."""
         from repro.geometry import RectSet
         from repro.serving import ShardedHistogram
@@ -295,7 +295,7 @@ class TestShardedLiveMaintenance:
                 else:
                     assert a == b
 
-    def test_untouched_shards_keep_caches_warm(
+    def test_untouched_shards_keep_their_kernel_snapshots(
         self, capture_counters
     ):
         from repro.geometry import RectSet
@@ -316,23 +316,24 @@ class TestShardedLiveMaintenance:
                 seed=45,
             ).coords,
         ]))
-        router.estimate_batch(mixed)  # populate both shard caches
+        router.estimate_batch(mixed)  # both shards serve
         cold = sharded.shards[0]
         warm = sharded.shards[1]
-        warm_hits = warm.engine.cache.hits
+        cold_epoch = cold.epoch
+        warm_synced = warm.estimator.synced_epoch
         # mutate shard 0 only
         rect = cold.hist.current_data()[0]
         assert sharded.owner_of(rect) == cold.shard_id
         router.insert(rect)
+        assert cold.epoch > cold_epoch
         result, counters = capture_counters(
             lambda: router.estimate_batch(mixed)
         )
-        # the touched shard flushed; the untouched shard answered
-        # its whole sub-batch from its still-warm cache
-        assert cold.engine.cache.flushes == 1
-        assert warm.engine.cache.flushes == 0
-        assert warm.engine.cache.hits == warm_hits + 15
-        assert counters.get("serving.cache.flushes") == 1
+        # the next serve re-snapshots the touched shard's kernel only;
+        # the untouched shard answers from the snapshot it already had
+        assert counters.get("serving.epoch.estimator_rebuilds") == 1
+        assert cold.estimator.synced_epoch == cold.epoch
+        assert warm.estimator.synced_epoch == warm_synced
         assert counters.get(
             f"serving.shard.epoch_bumps.s{cold.shard_id}"
         ) == 1

@@ -11,9 +11,7 @@ computed independently here.
 
 The pickle regression rides along: a ``BatchServingEngine`` whose
 epoch bookkeeping was keyed by object id silently resurrected its
-stale cache after crossing a process (pickle) boundary; the worker
-pool ships engines by pickle, so the fix is load-bearing for pooled
-serving.
+stale cache after crossing a process (pickle) boundary.
 """
 
 import pickle
@@ -172,9 +170,9 @@ class TestShardedDifferentialProperty:
     @given(seed=st.integers(0, 5_000))
     @settings(max_examples=8, deadline=None)
     def test_scalar_path_is_exact_without_index(self, seed):
-        """With index pruning off (pruning reorders the bucket sum),
-        the scalar path is bit-exact against the union reference."""
-        sharded = _build(n_shards=3, auto_index=False)
+        """The scalar path of the default tier is bit-exact against
+        the union reference."""
+        sharded = _build(n_shards=3)
         router = ShardRouter(sharded)
         union = sharded.union_estimator()
         for q in range_queries(DATA, 0.08, 10, seed=seed):
@@ -340,6 +338,61 @@ class TestShardWorkerPool:
             # the worker survives a method-level failure and the pool
             # keeps serving healthy requests afterwards
             assert isinstance(pool.call(0, "state_digest"), str)
+
+
+class TestShardServesFromItsKernel:
+    """A shard answers each dispatched sub-batch with one pass of its
+    estimator's kernel: no query cache, no bucket index, and no
+    ``BatchServingEngine`` accounting on the sharded path."""
+
+    ENGINE_PREFIXES = ("serving.cache.", "serving.index.")
+    ENGINE_COUNTERS = ("serving.epoch.index_rebuilds", "serving.requests")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sub_batches_run_the_kernel_directly(
+        self, workers, capture_counters, monkeypatch
+    ):
+        from repro.core.bucket import BucketArrays
+
+        kernel_calls = []
+        block = BucketArrays.estimate_block
+
+        def counted(arrays, qcoords):
+            kernel_calls.append(len(qcoords))
+            return block(arrays, qcoords)
+
+        monkeypatch.setattr(BucketArrays, "estimate_block", counted)
+        # under the kernel's 1,024-row chunk: one block per sub-batch
+        queries = range_queries(DATA, 0.05, 200, seed=51)
+        sharded = _build()
+        rect = DATA[0]
+
+        def serve():
+            kernel_calls.clear()
+            values = router.estimate_batch(queries)
+            return values, len(kernel_calls)
+
+        with ShardRouter(sharded, workers=workers) as router:
+            (first, first_calls), before = capture_counters(serve)
+            router.insert(rect)
+            (second, second_calls), after = capture_counters(serve)
+        for counters in (before, after):
+            leaked = sorted(
+                name for name in counters
+                if name.startswith(self.ENGINE_PREFIXES)
+                or name in self.ENGINE_COUNTERS
+            )
+            assert leaked == []
+        assert after.get("serving.epoch.estimator_rebuilds", 0) \
+            == before.get("serving.epoch.estimator_rebuilds", 0) + 1
+        if workers == 1:
+            assert before["serving.shard.fanout"] > 0
+            assert first_calls == before["serving.shard.fanout"]
+            assert second_calls == after["serving.shard.fanout"]
+        np.testing.assert_array_equal(
+            second, sharded.union_estimator().estimate_batch(queries)
+        )
+        assert not np.array_equal(first, second)
 
 
 class TestEnginePickleRevalidation:
