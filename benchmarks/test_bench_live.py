@@ -3,8 +3,8 @@
 Runs a tiny ``engine="live"`` benchmark end to end and checks the
 promises CI gates on: the artifact is schema-valid, the interleaved
 stream really exercised maintenance (epoch moved, refreshes happened),
-and every technique's long-lived engine answered the final batch
-bit-identically to a freshly built engine over the same buckets
+and every technique's long-lived estimator answered the final batch
+bit-identically to a freshly built estimator over the same buckets
 (``live_matches`` — the epoch-consistency gate).  Also validates the
 committed ``BENCH_live.json`` baseline when present.
 """
@@ -64,18 +64,16 @@ def test_every_cell_exercised_maintenance(live_run):
             live["inserts"] + live["refreshes"]
         assert live["refreshes"] > 0
         assert live["final_n"] > 0
-        # the engine detected staleness at least once per mutation run
-        assert live["cache_flushes"] > 0
+        # the estimator re-synced its kernel snapshot at least once
         assert live["estimator_rebuilds"] > 0
-        assert live["index_rebuilds"] > 0
 
 
 def test_epoch_consistency_gate(live_run):
     doc, _ = live_run
     for entry in doc["datasets"][0]["techniques"]:
         assert entry["live"]["live_matches"] is True, (
-            f"{entry['technique']}: long-lived engine diverged from a "
-            f"freshly built engine over the same buckets"
+            f"{entry['technique']}: long-lived estimator diverged from "
+            f"a freshly built estimator over the same buckets"
         )
 
 

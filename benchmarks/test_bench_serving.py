@@ -3,8 +3,8 @@
 Runs a tiny ``engine="batch"`` benchmark end to end and checks the
 promises CI gates on: the artifact is schema-valid, every technique's
 vectorised kernel is at least as fast as the scalar loop
-(``speedup >= 1.0``), and the batch/engine answers match the scalar
-loop bit for bit (``scalar_matches``).  A second tiny
+(``speedup >= 1.0``), and the batch answers match the scalar loop
+bit for bit (``scalar_matches``).  A second tiny
 ``engine="sharded"`` run checks the scatter-gather tier: every cell's
 router answer matches the single-engine union reference bit for bit
 (``sharded_matches``) and the live mutation stream invalidates only
@@ -76,7 +76,6 @@ def test_every_technique_has_serving_fields(serving_run):
         == list(ALL_TECHNIQUES)
     for entry in dataset["techniques"]:
         assert entry["scalar_seconds"] > 0
-        assert entry["engine_seconds"] > 0
         assert entry["speedup"] > 0
 
 

@@ -46,13 +46,12 @@ class LintConfig:
     epoch001_revalidators:
         Method names that bring derived state up to date; a class is
         in EPOCH001 scope when it defines or inherits one of these.
-    epoch001_cache_attrs:
-        ``self.<attr>`` names treated as the query cache.
-    epoch001_read_methods:
-        Methods on a cache attribute that read derived state.
-    epoch001_probe_methods:
-        Methods on any ``self`` attribute treated as an index probe
-        (``candidates`` — the :class:`BucketIndex` contract).
+    epoch001_snapshot_attrs:
+        ``self.<attr>`` names holding derived state — the epoch-keyed
+        kernel snapshot (``_arrays``).  A call that takes one as its
+        receiver (``self._arrays.estimate_block(...)``) or as an
+        argument (``estimate_many_arrays(self._arrays, ...)``) reads
+        it.
     epoch001_exempt_methods:
         Methods never analysed (constructors; the revalidators
         themselves are always exempt).
@@ -144,15 +143,7 @@ class LintConfig:
         "repro.tuning",
     )
     epoch001_revalidators: Tuple[str, ...] = ("_revalidate", "sync")
-    epoch001_cache_attrs: FrozenSet[str] = frozenset({
-        "cache", "_cache",
-    })
-    epoch001_read_methods: FrozenSet[str] = frozenset({
-        "lookup", "lookup_batch", "get",
-    })
-    epoch001_probe_methods: FrozenSet[str] = frozenset({
-        "candidates",
-    })
+    epoch001_snapshot_attrs: FrozenSet[str] = frozenset({"_arrays"})
     epoch001_exempt_methods: FrozenSet[str] = frozenset({
         "__init__", "__repr__", "__getstate__", "__setstate__",
     })

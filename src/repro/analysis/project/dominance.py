@@ -1,7 +1,7 @@
 """Path-sensitive dominance: is every read preceded by a revalidate?
 
-EPOCH001's core question — "is this cache read dominated by a
-``_revalidate()``/``sync()`` call on every path into it?" — is
+EPOCH001's core question — "is this kernel-snapshot read dominated by
+a ``_revalidate()``/``sync()`` call on every path into it?" — is
 answered by abstract interpretation of one boolean (*revalidated*)
 over a method body:
 

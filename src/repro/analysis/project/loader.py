@@ -8,7 +8,7 @@ Three passes, all syntactic:
 2. build per-module *project-aware* alias maps — unlike the per-file
    collector, relative imports are resolved against the module's
    package so ``from ..estimators import BucketEstimator`` inside
-   ``repro.serving.engine`` binds to
+   ``repro.serving.shard`` binds to
    ``repro.estimators.BucketEstimator``;
 3. index top-level classes/functions and methods, then inventory every
    class's ``self.x`` assignments for the pickle hazards and held

@@ -2,15 +2,16 @@
 
 The per-file linter (:mod:`repro.analysis.engine`) sees one module at a
 time; the protocols that keep the serving spine honest — revalidation
-before cache reads, picklable worker payloads, seed threading — span
+before kernel-snapshot reads, picklable worker payloads, seed
+threading — span
 modules.  A :class:`Project` is the shared substrate the cross-module
 rules reason over:
 
 * ``modules`` — every parsed :class:`~repro.analysis.engine
   .ModuleContext`, keyed by dotted module name;
 * ``classes`` / ``functions`` — flat symbol tables keyed by qualified
-  name (``repro.serving.engine.BatchServingEngine`` and
-  ``...BatchServingEngine.estimate``), methods included;
+  name (``repro.estimators.bucket_estimator.BucketEstimator`` and
+  ``...BucketEstimator.estimate``), methods included;
 * ``module_aliases`` — a *project-aware* import map per module that,
   unlike the per-file map, also resolves relative imports
   (``from ..estimators import BucketEstimator``) so cross-package

@@ -10,19 +10,18 @@ Rule codes
 ----------
 EPOCH001
     Revalidation dominance.  In a class that defines or inherits a
-    revalidator (``_revalidate``/``sync``), every cache read
-    (``self.cache.lookup*``/``.get``) and every index probe
-    (``self.<attr>.candidates``) must be dominated by a revalidator
-    call on every path.  Interprocedural within the class: a private
-    method whose reads are not locally dominated must itself be
-    dominated at each call site (that is how ``_serve`` stays honest
-    behind ``estimate_batch``).  Additionally, anywhere in the
-    EPOCH001 packages (which include ``repro.tuning``), storing a
-    published-summary attribute on a receiver other than ``self``
-    (``hist.buckets = ...``) is a finding: it swaps the summary
-    without the owner's atomic epoch bump, so a consumer can serve
-    the new buckets against a stale epoch — mutations must publish
-    through ``replace_buckets()``.
+    revalidator (``_revalidate``/``sync``), every read of the
+    epoch-keyed kernel snapshot — a call taking ``self._arrays`` as
+    its receiver or as an argument — must be dominated by a
+    revalidator call on every path.  Interprocedural within the
+    class: a private method whose reads are not locally dominated
+    must itself be dominated at each call site.  Additionally,
+    anywhere in the EPOCH001 packages (which include
+    ``repro.tuning``), storing a published-summary attribute on a
+    receiver other than ``self`` (``hist.buckets = ...``) is a
+    finding: it swaps the summary without the owner's atomic epoch
+    bump, so a consumer can serve the new buckets against a stale
+    epoch — mutations must publish through ``replace_buckets()``.
 PICKLE001
     Worker-payload pickling.  A class reachable as an argument to a
     pickle boundary (``ShardWorkerPool``, ``parallel_map``,
@@ -143,12 +142,12 @@ def _is_dunder(name: str) -> bool:
 # ----------------------------------------------------------------------
 @register_project
 class EpochDominanceRule(ProjectRule):
-    """Cache reads and index probes must follow a revalidate."""
+    """Kernel-snapshot reads must follow a revalidate."""
 
     code = "EPOCH001"
     summary = (
-        "cache reads and index probes in revalidating classes must "
-        "be dominated by _revalidate()/sync() on every path"
+        "kernel-snapshot reads in revalidating classes must be "
+        "dominated by _revalidate()/sync() on every path"
     )
 
     def run(self) -> List[Violation]:
@@ -270,17 +269,12 @@ class EpochDominanceRule(ProjectRule):
         needy: Set[str],
     ) -> str:
         func = call.func
-        what = "derived-state read"
-        if isinstance(func, ast.Attribute):
-            if func.attr in needy:
-                what = (
-                    f"call to self.{func.attr}() (which reads "
-                    f"cache/index state)"
-                )
-            elif func.attr in self.config.epoch001_probe_methods:
-                what = f"index probe .{func.attr}()"
-            else:
-                what = f"cache read .{func.attr}()"
+        what = "kernel-snapshot read"
+        if isinstance(func, ast.Attribute) and func.attr in needy:
+            what = (
+                f"call to self.{func.attr}() (which reads the kernel "
+                f"snapshot)"
+            )
         revalidators = "/".join(
             f"{name}()" for name in self.config.epoch001_revalidators
         )
@@ -302,25 +296,28 @@ class _EpochClassifier:
 
     def __call__(self, call: ast.Call) -> Optional[str]:
         func = call.func
-        if not isinstance(func, ast.Attribute):
-            return None
-        receiver = func.value
-        if isinstance(receiver, ast.Name) and receiver.id == "self":
-            if func.attr in self.config.epoch001_revalidators:
-                return EVENT_REVALIDATE
-            if func.attr in self.needy:
+        if isinstance(func, ast.Attribute):
+            receiver = func.value
+            if isinstance(receiver, ast.Name) and receiver.id == "self":
+                if func.attr in self.config.epoch001_revalidators:
+                    return EVENT_REVALIDATE
+                if func.attr in self.needy:
+                    return EVENT_READ
+                return None
+            if self._is_snapshot(receiver):
                 return EVENT_READ
-            return None
-        # self.<cache>.<read>() and self.<attr>.candidates()
-        if isinstance(receiver, ast.Attribute) \
-                and isinstance(receiver.value, ast.Name) \
-                and receiver.value.id == "self":
-            if func.attr in self.config.epoch001_probe_methods:
-                return EVENT_READ
-            if receiver.attr in self.config.epoch001_cache_attrs \
-                    and func.attr in self.config.epoch001_read_methods:
-                return EVENT_READ
+        # the snapshot handed to a kernel: f(self._arrays, ...)
+        args = list(call.args) + [kw.value for kw in call.keywords]
+        if any(self._is_snapshot(arg) for arg in args):
+            return EVENT_READ
         return None
+
+    def _is_snapshot(self, node: ast.expr) -> bool:
+        """``self.<attr>`` for a configured snapshot attribute."""
+        return isinstance(node, ast.Attribute) \
+            and isinstance(node.value, ast.Name) \
+            and node.value.id == "self" \
+            and node.attr in self.config.epoch001_snapshot_attrs
 
 
 # ----------------------------------------------------------------------

@@ -240,7 +240,6 @@ _SUMMARY = (
     ("live", "ops", "ops", "{}"),
     ("live", "refreshes", "refreshes", "{}"),
     ("live", "epoch", "final_epoch", "{}"),
-    ("live", "flushes", "cache_flushes", "{}"),
     ("tuned", "ops", "ops", "{}"),
     ("tuned", "passes", "tuning_passes", "{}"),
     ("tuned", "pairs", "tuning_pairs", "{}"),
@@ -360,8 +359,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     Builds the estimator (or the sharded scatter-gather tier with
     ``--shards``), binds the asyncio server, prints the bound address,
     and serves until interrupted.  The sharded tier accepts
-    ``insert``/``delete`` ops over the wire; a direct engine is
-    read-only and answers mutations with a typed error.
+    ``insert``/``delete`` ops over the wire; a directly served
+    estimator is read-only and answers mutations with a typed error.
     """
     import asyncio
 
@@ -393,13 +392,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         detail = f"{args.shards}-shard tier"
     else:
         from .eval import build_estimator
-        from .serving import BatchServingEngine
 
-        backend = BatchServingEngine(build_estimator(
+        backend = build_estimator(
             args.technique, data, args.buckets,
             n_regions=args.regions,
-        ))
-        detail = "direct engine (read-only)"
+        )
+        detail = "direct estimator (read-only)"
 
     door = FrontDoor(
         backend,
@@ -683,8 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "reference, plus a routed mutation stream"),
         ("live", "live-maintenance workload: an interleaved "
                  "query/insert/delete stream against maintained "
-                 "histograms served through the engine, gated "
-                 "bit-for-bit against a freshly built engine"),
+                 "histograms served directly, gated bit-for-bit "
+                 "against a freshly built estimator"),
         ("server", "front-door workload: pipelined client processes "
                    "through the micro-batching TCP server vs a "
                    "max_batch=1 baseline, p50/p99 latency and qps"),
@@ -701,8 +699,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", default=None,
         choices=("scalar", "batch", "sharded", "server", "tuned"),
         help="estimation path: plain per-technique batch call, the "
-             "serving engine with cache+index and a measured speedup "
-             "vs the scalar loop, the sharded scatter-gather "
+             "batch kernel with a measured speedup vs the scalar "
+             "loop, the sharded scatter-gather "
              "router gated against the single-engine reference, "
              "the micro-batching TCP front door measuring p50/p99 "
              "latency and the speedup over single-query-per-call "
@@ -782,8 +780,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--shards", type=int, default=0, metavar="K",
         help="serve through the K-shard scatter-gather tier (accepts "
-             "insert/delete ops); 0 = direct engine, read-only "
-             "(default: 0)",
+             "insert/delete ops); 0 = the estimator directly, "
+             "read-only (default: 0)",
     )
     p.add_argument("--shard-workers", type=int, default=1, metavar="N",
                    help="router worker processes for --shards "

@@ -215,22 +215,6 @@ class BucketArrays:
         self.any_degenerate = bool(self.degenerate.any())
         self.safe_areas = np.where(areas > 0.0, areas, 1.0)
 
-    def select(self, indices: np.ndarray) -> "BucketArrays":
-        """Subset view over ``indices`` (for index-pruned probing)."""
-        sub = object.__new__(BucketArrays)
-        sub.n = int(np.asarray(indices).shape[0])
-        sub.x1 = self.x1[indices]
-        sub.y1 = self.y1[indices]
-        sub.x2 = self.x2[indices]
-        sub.y2 = self.y2[indices]
-        sub.counts = self.counts[indices]
-        sub.half_w = self.half_w[indices]
-        sub.half_h = self.half_h[indices]
-        sub.safe_areas = self.safe_areas[indices]
-        sub.degenerate = self.degenerate[indices]
-        sub.any_degenerate = bool(sub.degenerate.any())
-        return sub
-
     def estimate_block(self, qcoords: np.ndarray) -> np.ndarray:
         """Per-query sum of bucket estimates for an ``(M, 4)`` block.
 
@@ -240,23 +224,6 @@ class BucketArrays:
         m = qcoords.shape[0]
         if m == 0 or self.n == 0:
             return np.zeros(m, dtype=np.float64)
-        return self.estimate_terms(qcoords).sum(axis=1)
-
-    def estimate_terms(self, qcoords: np.ndarray) -> np.ndarray:
-        """The ``(M, B)`` per-bucket terms :meth:`estimate_block` sums.
-
-        Exposed unreduced so an index-pruned probe can evaluate the
-        formula over its candidate subset only, scatter the terms back
-        into a full-width row and reduce over the *original* bucket
-        axis: numpy's reduction groups partial sums by array length,
-        so summing a shorter candidate vector rounds differently in
-        the last ulp than summing the full row with zeros in the
-        pruned slots.  Scatter-then-reduce keeps pruning bit-identical
-        to the unpruned scan.
-        """
-        m = qcoords.shape[0]
-        if m == 0 or self.n == 0:
-            return np.zeros((m, self.n), dtype=np.float64)
         qx1 = qcoords[:, 0][:, np.newaxis]
         qy1 = qcoords[:, 1][:, np.newaxis]
         qx2 = qcoords[:, 2][:, np.newaxis]
@@ -282,7 +249,7 @@ class BucketArrays:
                 np.where(touches, self.counts, 0.0),
                 estimates,
             )
-        return estimates
+        return estimates.sum(axis=1)
 
     def fraction_block(self, qcoords: np.ndarray) -> np.ndarray:
         """``(M, B)`` matrix of the Section 3.1 overlap fractions.

@@ -20,12 +20,13 @@ breaking.  The accompanying tests measure exactly that degradation.
 
 Every mutation that the histogram accepts bumps a monotonically
 increasing **epoch** (:attr:`MaintainedHistogram.epoch`).  The epoch is
-the staleness contract of the live-serving path: any consumer holding a
-derived summary — a :class:`~repro.core.bucket.BucketArrays` kernel
-snapshot, a :class:`~repro.serving.BucketIndex`, a
-:class:`~repro.serving.QueryCache` entry — records the epoch it was
-built from and must rebuild (or flush) when the histogram's epoch has
-moved past it.  Epoch bumps deliberately over-approximate "the bucket
+the staleness contract of the live-serving path: any consumer holding
+state derived from the buckets — a
+:class:`~repro.estimators.MaintainedEstimator`'s
+:class:`~repro.core.bucket.BucketArrays` kernel snapshot, a shard's
+routing box, the union reference's per-shard kernels — records the
+epoch it was built from and must rebuild when the histogram's epoch
+has moved past it.  Epoch bumps deliberately over-approximate "the bucket
 statistics changed" (an uncovered insert changes only the raw data, yet
 still bumps) because a spurious rebuild costs time while a missed one
 serves wrong answers.

@@ -11,26 +11,23 @@ construction): the batch path evaluates a ``(Q, B)`` broadcast block,
 and the scalar path evaluates the identical block with ``Q = 1``, so
 scalar and batch answers are bit-identical by construction.
 
-A bucket *index* (any object with a ``candidates(query)`` method
-returning bucket positions, e.g. :class:`repro.serving.BucketIndex`)
-can be attached to accelerate scalar probing from O(buckets) to near
-O(answer); the candidate set is a superset of every contributing
-bucket, so pruning never changes which buckets matter.  The pruned
-path evaluates the kernel over the candidates only but scatters the
-terms into a full-width row before reducing, so even the partial-sum
-grouping matches the linear scan and indexed probing is bit-identical
-to it (the index property suite asserts exact equality).
+The scalar path validates its query first: a :class:`Rect` is checked
+by its constructor, but one built around it (``object.__new__``) would
+otherwise reach the kernel with NaN or inverted coordinates, so it is
+rejected with the same :class:`~repro.errors.GeometryError` the batch
+path raises.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
 from ..core.bucket import Bucket, BucketArrays, estimate_many_arrays
-from ..geometry import Rect, RectSet, require_nonempty
+from ..geometry import Rect, RectSet, require_nonempty, \
+    validate_extent
 from ..obs import OBS
 from ..partitioners.base import Partitioner
 from .base import SelectivityEstimator
@@ -39,15 +36,6 @@ from .base import SelectivityEstimator
 #: bounding box, one each for average density, count, average width and
 #: average height.
 WORDS_PER_BUCKET = 8
-
-
-class BucketProbe(Protocol):
-    """Anything that can name the buckets a query might touch."""
-
-    def candidates(self, query: Rect) -> "npt.NDArray[np.int64]":
-        """Positions of every bucket possibly contributing to
-        ``query`` (a superset of the truly contributing set)."""
-        ...
 
 
 class BucketEstimator(SelectivityEstimator):
@@ -60,7 +48,6 @@ class BucketEstimator(SelectivityEstimator):
         self.buckets: List[Bucket] = list(buckets)
         self.name = name
         self._arrays = BucketArrays(self.buckets)
-        self._index: Optional[BucketProbe] = None
 
     @classmethod
     def build(
@@ -86,9 +73,8 @@ class BucketEstimator(SelectivityEstimator):
         never changes after construction, so the epoch is a constant 0.
         Live adapters (:class:`repro.estimators.maintained.\
 MaintainedEstimator`) override this with their source histogram's
-        monotonic epoch; the serving engine compares it against the
-        epoch it last observed to decide when caches and indexes must
-        be invalidated.
+        monotonic epoch, and :meth:`sync` compares it against the
+        epoch the kernel snapshot was built from.
         """
         return 0
 
@@ -98,51 +84,24 @@ MaintainedEstimator`) override this with their source histogram's
         Returns True when a rebuild happened (so callers holding state
         derived from :attr:`buckets` know to rebuild too).  The static
         base class is never stale.  Both query paths call this first,
-        which is what makes a bare estimator — no serving engine
-        involved — safe to query mid-maintenance.
+        which is what makes the estimator safe to query
+        mid-maintenance with nothing in front of it.
         """
         return False
-
-    # ------------------------------------------------------------------
-    # index hook
-    # ------------------------------------------------------------------
-    def attach_index(self, index: Optional[BucketProbe]) -> None:
-        """Install (or with ``None`` remove) a bucket probe that the
-        scalar path uses to prune the bucket scan."""
-        self._index = index
-
-    @property
-    def index(self) -> Optional[BucketProbe]:
-        return self._index
 
     # ------------------------------------------------------------------
     # query paths
     # ------------------------------------------------------------------
     def estimate(self, query: Rect) -> float:
+        validate_extent(
+            query.x1, query.y1, query.x2, query.y2, what="query"
+        )
         self.sync()
         qrow = np.array(
             [[query.x1, query.y1, query.x2, query.y2]],
             dtype=np.float64,
         )
-        arrays = self._arrays
-        if self._index is not None:
-            chosen = self._index.candidates(query)
-            if OBS.enabled:
-                OBS.add("serving.index.probes")
-                OBS.add("serving.index.candidates", len(chosen))
-            if len(chosen) == 0:
-                return 0.0
-            if len(chosen) < arrays.n:
-                # evaluate the formula over the candidates only, but
-                # reduce over a full-width row: numpy groups partial
-                # sums by array length, so summing the short candidate
-                # vector directly would round differently in the last
-                # ulp than the unpruned (and batch-path) scan
-                terms = np.zeros((1, arrays.n), dtype=np.float64)
-                terms[0, chosen] = \
-                    arrays.select(chosen).estimate_terms(qrow)[0]
-                return float(terms.sum(axis=1)[0])
-        return float(arrays.estimate_block(qrow)[0])
+        return float(self._arrays.estimate_block(qrow)[0])
 
     def _estimate_batch(
         self, queries: RectSet

@@ -66,9 +66,7 @@ from ..estimators import (
 )
 from ..eval.metrics import error_summary
 from ..resilience.chaos import WorkerKillConfig, run_worker_kill_chaos
-from ..serving import (
-    BatchServingEngine, ShardedHistogram, ShardRouter, parallel_map,
-)
+from ..serving import ShardedHistogram, ShardRouter, parallel_map
 from ..storage.checkpoint import CheckpointStore, config_fingerprint
 from ..storage.persist import atomic_write_text
 from ..tuning import FeedbackCollector, FeedbackTuner
@@ -110,12 +108,11 @@ class BenchConfig:
     query_seed: int = 42
     techniques: Tuple[str, ...] = tuple(ALL_TECHNIQUES)
     #: ``"scalar"`` estimates with the plain per-technique batch call;
-    #: ``"batch"`` serves through :class:`repro.serving
-    #: .BatchServingEngine` and additionally times the scalar
-    #: one-query-at-a-time loop, recording the speedup per technique;
+    #: ``"batch"`` additionally times the scalar one-query-at-a-time
+    #: loop, recording the speedup per technique;
     #: ``"live"`` replays an interleaved query/insert/delete stream
-    #: against a maintained histogram served through the engine and
-    #: checks the staleness contract (see ``live_matches``);
+    #: against a maintained histogram served directly and checks the
+    #: staleness contract (see ``live_matches``);
     #: ``"sharded"`` serves through the scatter-gather
     #: :class:`repro.serving.ShardRouter` over ``n_shards`` Min-Skew
     #: shard boxes and differentially gates the answers against the
@@ -125,7 +122,7 @@ class BenchConfig:
     #: closed-loop TCP clients, records client-observed p50/p99
     #: latency and qps for the batched and the ``max_batch=1``
     #: single-dispatch runs, and differentially gates both against
-    #: the direct engine (see ``server_matches``);
+    #: the direct router call (see ``server_matches``);
     #: ``"tuned"`` replays a *drifting* live stream against a
     #: feedback-tuned histogram and an identically budgeted static
     #: control, recording the ARE differential and the bit-for-bit
@@ -227,9 +224,9 @@ SERVING_CONFIG = BenchConfig(
 #: The live-serving regression workload: each bucket technique is kept
 #: in a :class:`~repro.core.maintenance.MaintainedHistogram`, an
 #: interleaved query/insert/delete stream is replayed against it
-#: through the serving engine (auto-refresh on drift), and the final
-#: batch answers are checked bit-identical to a freshly built engine
-#: over the same buckets — the epoch-consistency gate CI asserts.
+#: (auto-refresh on drift), and the final batch answers are checked
+#: bit-identical to a freshly built estimator over the same buckets —
+#: the epoch-consistency gate CI asserts.
 LIVE_CONFIG = BenchConfig(
     name="live",
     datasets=(("charminar", 4_000),),
@@ -266,13 +263,13 @@ SERVER_CONFIG = BenchConfig(
 #: The self-tuning regression workload: a drifting live stream (every
 #: insert biased toward one corner, so the hotspot migrates) is
 #: replayed against two identically built Min-Skew histograms — one
-#: serving through an engine with a feedback collector attached and
+#: offering every served query to a feedback collector and
 #: periodically re-split by :class:`repro.tuning.FeedbackTuner`, one
 #: left structurally static.  Both are scored against exact ground
 #: truth over the *final* data at equal bucket budget; the committed
 #: baseline pins ``tuned.are_tuned`` strictly below
 #: ``tuned.are_static`` (the differential CI gates on) and
-#: ``tuned.tuned_matches`` (the tuned engine is bit-identical to a
+#: ``tuned.tuned_matches`` (the tuned estimator is bit-identical to a
 #: fresh rebuild over the tuned buckets).
 TUNING_CONFIG = BenchConfig(
     name="tuning",
@@ -586,18 +583,14 @@ class _Scalar(_Stack):
 
 
 class _Batch(_Scalar):
-    """The vectorised kernel against the scalar loop and the engine.
+    """The vectorised kernel against the scalar loop.
 
-    ``scalar_seconds`` times the one-query-at-a-time loop *before*
-    the serving engine attaches its bucket index (the pre-serving
-    reference path), ``speedup`` is its ratio to the kernel's time,
-    ``engine_seconds`` times the full :class:`repro.serving
-    .BatchServingEngine` (cold cache, auto-built index), and
-    ``scalar_matches`` records that all three agreed to exact float
-    equality.
+    ``scalar_seconds`` times the one-query-at-a-time loop, ``speedup``
+    is its ratio to the kernel's time, and ``scalar_matches`` records
+    that the two agreed to exact float equality.
     """
 
-    timed = ("scalar_seconds", "engine_seconds", "speedup")
+    timed = ("scalar_seconds", "speedup")
 
     def check(self, run: _Run, served: "npt.NDArray[np.float64]") -> None:
         start = time.perf_counter()
@@ -606,19 +599,11 @@ class _Batch(_Scalar):
             dtype=np.float64,
         )
         self.scalar_seconds = time.perf_counter() - start
-        engine = BatchServingEngine(self.estimator)
-        start = time.perf_counter()
-        engine_estimates = engine.estimate_batch(run.queries)
-        self.engine_seconds = time.perf_counter() - start
-        self.matches = bool(
-            np.array_equal(scalar, served)
-            and np.array_equal(scalar, engine_estimates)
-        )
+        self.matches = bool(np.array_equal(scalar, served))
 
     def record(self, run: _Run) -> Dict[str, Any]:
         return {
             "scalar_seconds": self.scalar_seconds,
-            "engine_seconds": self.engine_seconds,
             "speedup": (
                 self.scalar_seconds / run.estimate_seconds
                 if run.estimate_seconds > 0.0 else 0.0
@@ -643,15 +628,14 @@ class _Live(_Stack):
     """A maintained histogram served while the op stream mutates it.
 
     The technique's partitioner seeds a
-    :class:`~repro.core.maintenance.MaintainedHistogram`, served by a
-    :class:`~repro.serving.BatchServingEngine` through a
-    :class:`~repro.estimators.MaintainedEstimator`; the stream's
-    mutations refresh it whenever drift crosses its threshold.
-    ``live.live_matches`` is the staleness contract: after the whole
-    stream, the engine's batch answers — cache, index, and kernel
-    snapshot included — are bit-identical to a freshly built engine's
-    over the same buckets.  Accuracy is scored against exact ground
-    truth over the rows the stream left behind.
+    :class:`~repro.core.maintenance.MaintainedHistogram`, served
+    directly by a :class:`~repro.estimators.MaintainedEstimator`; the
+    stream's mutations refresh it whenever drift crosses its
+    threshold.  ``live.live_matches`` is the staleness contract: after
+    the whole stream, the long-lived estimator's batch answers (its
+    re-synced kernel snapshot) are bit-identical to a freshly built
+    estimator's over the same buckets.  Accuracy is scored against
+    exact ground truth over the rows the stream left behind.
     """
 
     block = "live"
@@ -660,13 +644,11 @@ class _Live(_Stack):
 
     def build(self, data: RectSet) -> None:
         self.hist = _maintained(self.technique, data, self.config)
-        self.backend = self.engine = BatchServingEngine(
-            MaintainedEstimator(self.hist, name=self.technique)
-        )
+        self.backend = MaintainedEstimator(self.hist, name=self.technique)
 
     def apply(self, op: LiveOp) -> None:
         if op.kind == "query":
-            self.engine.estimate(op.rect)
+            self.backend.estimate(op.rect)
             return
         if op.kind == "insert":
             self.hist.insert(op.rect)
@@ -682,9 +664,7 @@ class _Live(_Stack):
         return queries, ExperimentRunner(final).true_counts(queries)
 
     def check(self, run: _Run, served: "npt.NDArray[np.float64]") -> None:
-        fresh = BatchServingEngine(
-            BucketEstimator(list(self.hist.buckets), name=self.technique)
-        )
+        fresh = BucketEstimator(list(self.hist.buckets), name=self.technique)
         self.matches = bool(
             np.array_equal(served, fresh.estimate_batch(run.queries))
         )
@@ -702,16 +682,11 @@ class _Live(_Stack):
 
     def record(self, run: _Run) -> Dict[str, Any]:
         counters = run.counters
-        cache = self.engine.cache
         return {"live": {
             **self._stream_fields(run),
             "refreshes": int(counters.get("maintenance.refreshes", 0)),
-            "cache_flushes": int(cache.flushes if cache else 0),
             "estimator_rebuilds": int(
                 counters.get("serving.epoch.estimator_rebuilds", 0)
-            ),
-            "index_rebuilds": int(
-                counters.get("serving.epoch.index_rebuilds", 0)
             ),
             "live_matches": self.matches,
         }}
@@ -723,8 +698,8 @@ class _Tuned(_Live):
     Two identically built maintained histograms replay the same
     *drifting* stream (``config.live_drift_xy`` biases every insert,
     so the hotspot migrates instead of diffusing).  The tuned side
-    serves through an engine with a
-    :class:`~repro.tuning.FeedbackCollector` attached; every
+    offers every query it serves — each scalar query op and the scored
+    batch — to its :class:`~repro.tuning.FeedbackCollector`; every
     ``config.tune_every`` operations the collected queries are drained
     and a :class:`~repro.tuning.FeedbackTuner` pass re-splits the
     worst-estimating buckets (merging cold accurate neighbours to pay
@@ -735,7 +710,7 @@ class _Tuned(_Live):
     Scoring regenerates the paper's query model over the *final* rows
     — the drifted reality both histograms now summarise.
     ``tuned.tuned_matches`` is the epoch contract (the long-lived
-    tuned engine is bit-identical to a fresh one over the tuned
+    tuned estimator is bit-identical to a fresh one over the tuned
     buckets); ``tuned.count_conserved`` checks the tuned summaries
     still account for exactly the covered rows.
     """
@@ -747,10 +722,9 @@ class _Tuned(_Live):
         self.collector = FeedbackCollector(
             sample_every=self.config.feedback_sample
         )
-        self.engine.feedback = self.collector
         self.static_hist = _maintained(self.technique, data, self.config)
-        self.static_engine = BatchServingEngine(
-            MaintainedEstimator(self.static_hist, name=self.technique)
+        self.static = MaintainedEstimator(
+            self.static_hist, name=self.technique
         )
         self.tuner = FeedbackTuner(
             self.hist, max_ops=self.config.tune_max_ops
@@ -760,8 +734,8 @@ class _Tuned(_Live):
 
     def apply(self, op: LiveOp) -> None:
         if op.kind == "query":
-            self.engine.estimate(op.rect)
-            self.static_engine.estimate(op.rect)
+            self.collector.observe(op.rect, self.backend.estimate(op.rect))
+            self.static.estimate(op.rect)
         else:
             for hist in (self.hist, self.static_hist):
                 if op.kind == "insert":
@@ -781,6 +755,11 @@ class _Tuned(_Live):
                 ]
                 self.tuner.tune(RectSet(sample, copy=False, validate=False))
 
+    def serve(self, queries: RectSet) -> "npt.NDArray[np.float64]":
+        values = self.backend.estimate_batch(queries)
+        self.collector.observe_batch(queries, values)
+        return values
+
     def scored(
         self, queries: RectSet, truth: "npt.NDArray[np.float64]"
     ) -> Tuple[RectSet, "npt.NDArray[np.float64]"]:
@@ -794,7 +773,7 @@ class _Tuned(_Live):
         )
 
     def check(self, run: _Run, served: "npt.NDArray[np.float64]") -> None:
-        static = self.static_engine.estimate_batch(run.queries)
+        static = self.static.estimate_batch(run.queries)
         self.are_static = error_summary(
             run.truth, static
         ).average_relative_error

@@ -77,9 +77,7 @@ _LIVE_SCHEMA = {
         "refreshes",
         "final_epoch",
         "final_n",
-        "cache_flushes",
         "estimator_rebuilds",
-        "index_rebuilds",
         "replay_seconds",
         "live_matches",
     ],
@@ -91,9 +89,7 @@ _LIVE_SCHEMA = {
         "refreshes": {"type": "integer", "minimum": 0},
         "final_epoch": {"type": "integer", "minimum": 0},
         "final_n": {"type": "integer", "minimum": 1},
-        "cache_flushes": {"type": "integer", "minimum": 0},
         "estimator_rebuilds": {"type": "integer", "minimum": 0},
-        "index_rebuilds": {"type": "integer", "minimum": 0},
         "replay_seconds": {"type": "number", "minimum": 0},
         "live_matches": {"type": "boolean"},
     },
@@ -275,10 +271,9 @@ _TECHNIQUE_SCHEMA = {
         "size_words": {"type": "integer", "minimum": 0},
         "accuracy": _ACCURACY_SCHEMA,
         "metrics": _METRICS_SCHEMA,
-        # optional serving-engine fields (present when the bench ran
+        # optional scalar-loop fields (present when the bench ran
         # with engine="batch"; additions are backward compatible)
         "scalar_seconds": {"type": "number", "minimum": 0},
-        "engine_seconds": {"type": "number", "minimum": 0},
         "speedup": {"type": "number", "minimum": 0},
         "scalar_matches": {"type": "boolean"},
         # optional live-serving fields (present when the bench ran

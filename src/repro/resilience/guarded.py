@@ -209,8 +209,7 @@ class GuardedEstimator(SelectivityEstimator):
         self.last_resort = last_resort
         #: Name of the link that answered the most recent call
         #: (:data:`LAST_RESORT_LINK` for a last-resort answer, ``None``
-        #: before the first).  The serving engine watches this to flush
-        #: its cache on degradation/recovery transitions.
+        #: before the first); :attr:`is_degraded` derives from it.
         self.last_served: Optional[str] = None
 
     @property

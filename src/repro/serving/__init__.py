@@ -1,18 +1,12 @@
 """Batch query serving: the production-path layer over the estimators.
 
 The paper's estimators answer one query at a time; a serving system
-answers *workloads*.  This package provides the pieces that make that
-fast without changing a single answer:
+answers *workloads*.  An estimator is served as it is: each batch is
+one validated, ``sync()``-ed pass of the Section 3.1 kernel over a few
+hundred bytes of buckets, which no cache lookup or index probe put in
+front of it can beat.  This package provides the pieces around that
+kernel, none of which changes a single answer:
 
-* :class:`QueryCache` — an LRU result cache keyed by canonicalised
-  query rectangles, with hit/miss/eviction counters under
-  ``serving.cache.*``;
-* :class:`BucketIndex` — a uniform integral-grid over (inflated)
-  bucket MBRs, falling back to an R*-tree of buckets, that prunes the
-  per-query bucket scan from O(buckets) to near O(answer);
-* :class:`BatchServingEngine` — cache → index → vectorised kernel →
-  fallback chain, wrapped behind the ordinary
-  :class:`~repro.estimators.SelectivityEstimator` interface;
 * :func:`parallel_map` — a deterministic chunked
   ``ProcessPoolExecutor`` mapper (order-preserving, metrics-merging)
   used by :meth:`repro.eval.ExperimentRunner.evaluate_sweep` and the
@@ -32,7 +26,7 @@ fast without changing a single answer:
   (the asyncio TCP ingress speaking length-prefixed JSON frames, with
   :class:`FrontDoorClient` / :class:`FrontDoorThread` as its client
   harnesses) — concurrent single-rect clients coalesce into the same
-  engine batches, bit-identical to calling the engine directly;
+  batches, bit-identical to calling the served estimator directly;
 * the **fault-tolerance layer** over that tier — the
   :class:`ShardWorkerPool` supervises its workers (logical reply
   deadlines, typed :class:`~repro.errors.ShardWorkerError`,
@@ -45,22 +39,23 @@ fast without changing a single answer:
   it cannot reach.
 
 The serving fast paths are locked down by a differential test suite:
-batch equals the scalar loop to exact float equality, cache-on equals
-cache-off, a ``workers=4`` sweep is byte-identical to ``workers=1``,
-and the sharded tier's answers equal the single-engine reference
-bit-for-bit.
+batch equals the scalar loop to exact float equality, a ``workers=4``
+sweep is byte-identical to ``workers=1``, and the sharded tier's
+answers equal the single-engine reference bit-for-bit.
+
+:mod:`repro.serving.cache` and :mod:`repro.serving.index` are not
+exported and nothing in the package imports them; they stay only
+because the repository benchmark's tracer (``perfbench/tracing.py``)
+imports them by path.
 """
 
 from .batcher import MicroBatcher, PendingReply
-from .cache import QueryCache, canonical_key
-from .engine import BatchServingEngine
 from .frontdoor import (
     FrontDoor,
     FrontDoorClient,
     FrontDoorThread,
     encode_frame,
 )
-from .index import BucketIndex
 from .parallel import ShardWorkerPool, parallel_map
 from .router import ShardRouter
 from .shard import (
@@ -74,10 +69,6 @@ from .supervision import HEALTH_STATES, ShardHealth
 from .wal import ShardWAL, attach_wals, wal_recovery
 
 __all__ = [
-    "QueryCache",
-    "canonical_key",
-    "BucketIndex",
-    "BatchServingEngine",
     "MicroBatcher",
     "PendingReply",
     "FrontDoor",

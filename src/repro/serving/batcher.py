@@ -1,4 +1,4 @@
-"""Micro-batching: coalesce single queries into engine-sized batches.
+"""Micro-batching: coalesce single queries into kernel-sized batches.
 
 The paper's Min-Skew kernel is cheap *per batch row* but the serving
 tier pays real Python dispatch cost *per call* — PR 4's vectorised
@@ -24,10 +24,11 @@ loop goes idle, and on close) that drains everything queued.
 **Ordering.**  The queue is strictly FIFO and a mutation is a
 *barrier*: queries queued before it are dispatched before it applies,
 queries queued after it are answered by the post-mutation summary.
-Because the engine revalidates epochs before every batch, this gives
-the same answers as a sequential reference serving the identical
-submission order — the differential property the hypothesis suite
-asserts under every trigger interleaving.
+Because the served estimator re-syncs its kernel snapshot to the
+current epoch before every batch, this gives the same answers as a
+sequential reference serving the identical submission order — the
+differential property the hypothesis suite asserts under every
+trigger interleaving.
 
 **Admission control.**  The queue is bounded (``max_pending``) and
 guarded by a :class:`~repro.resilience.CircuitBreaker` fed by dispatch
@@ -163,9 +164,9 @@ class MicroBatcher:
     Parameters
     ----------
     dispatch:
-        ``(n, 4) float64 coords -> (n,) float64 values`` — one engine
-        batch call (:meth:`BatchServingEngine.estimate_batch` behind a
-        :class:`~repro.geometry.RectSet`).
+        ``(n, 4) float64 coords -> (n,) float64 values`` — one
+        ``estimate_batch`` call on the served estimator or router,
+        behind a :class:`~repro.geometry.RectSet`.
     apply_mutation:
         ``(kind, rect) -> result`` applying one ``"insert"`` or
         ``"delete"``; ``None`` rejects mutations with a typed error.
@@ -360,7 +361,7 @@ class MicroBatcher:
     def _apply_one(self, mutation: _Mutation) -> None:
         if self._apply is None:
             mutation.reply.set_error(ValidationError(
-                "this front door serves a read-only engine",
+                "this front door serves a read-only estimator",
                 hint="start it over a mutable tier (ShardRouter or a "
                      "maintained histogram) to accept mutations",
             ))

@@ -1,11 +1,12 @@
 """LRU result cache keyed by canonicalised query rectangles.
 
-Selectivity workloads are heavily repetitive — the paper's biased
-query model (Section 5.2) draws query centers from data centers, so
-popular regions are asked about again and again.  Because every
-estimator is deterministic, a repeated query can be answered from a
-small LRU map without changing a single bit of output, which is what
-the cache-on-equals-cache-off differential test asserts.
+Nothing in :mod:`repro` serves through this cache any more: every
+committed run recorded 0 hits (random workloads do not repeat queries
+and every mutation flushed it), and one kernel pass over a few hundred
+bytes of buckets is cheaper than the lookup.  The module stays only
+because the repository benchmark's tracer (``perfbench/tracing.py``)
+imports :class:`QueryCache` by path to wrap its methods; it goes when
+that tracer stops importing it.
 
 Keys are *canonicalised* coordinate tuples: ``-0.0`` is folded onto
 ``0.0`` (the two compare equal as rectangles, so they must hit the
@@ -47,8 +48,7 @@ class QueryCache:
     Parameters
     ----------
     capacity:
-        Maximum number of retained entries (must be positive; a
-        serving engine that wants no cache simply does not build one).
+        Maximum number of retained entries (must be positive).
     """
 
     __slots__ = (
@@ -110,9 +110,9 @@ class QueryCache:
         Returns ``(values, missing)``: ``values`` has the cached
         estimate at every hit position (0.0 placeholders elsewhere)
         and ``missing`` lists the positions, in order, that must be
-        computed.  Duplicate missing queries are *not* collapsed — the
-        engine computes them all in one kernel call, which keeps the
-        filled batch bit-identical to an uncached evaluation.
+        computed.  Duplicate missing queries are *not* collapsed, so
+        computing them all in one kernel call keeps the filled batch
+        bit-identical to an uncached evaluation.
         """
         n = len(queries)
         values = np.zeros(n, dtype=np.float64)
@@ -156,10 +156,9 @@ class QueryCache:
         self._entries.clear()
 
     def flush(self) -> None:
-        """:meth:`clear` plus invalidation accounting — the serving
-        engine calls this when cached answers became *wrong* (source
-        epoch moved, fallback chain transitioned), as opposed to a
-        caller merely resetting a cache it owns."""
+        """:meth:`clear` plus invalidation accounting — for when
+        cached answers became *wrong* (source epoch moved), as opposed
+        to a caller merely resetting a cache it owns."""
         self.clear()
         self.flushes += 1
         OBS.add("serving.cache.flushes")

@@ -15,7 +15,7 @@ annotated with the shard ids (``"degraded": [...]``).
 Every connection feeds one shared :class:`~repro.serving.batcher
 .MicroBatcher`, so concurrent clients coalesce into the same
 micro-batches and one ``estimate_batch`` call serves them all — the
-answers are bit-identical to calling the engine directly because the
+answers are bit-identical to calling the backend directly because the
 vectorised kernels evaluate batch rows independently.  The batcher's
 logical clock advances once per idle pass of the event loop: a burst
 of pipelined frames lands in the same batch (the size trigger), a
@@ -210,9 +210,10 @@ class FrontDoor:
     Parameters
     ----------
     engine:
-        The batch backend — a
-        :class:`~repro.serving.BatchServingEngine`, a
-        :class:`~repro.serving.ShardRouter`, or anything else with the
+        The batch backend — a :class:`~repro.serving.ShardRouter`, a
+        bare :class:`~repro.estimators.SelectivityEstimator` (a
+        :class:`~repro.estimators.MaintainedEstimator` re-syncs itself
+        per batch), or anything else with the
         ``estimate_batch(RectSet)`` contract.
     mutate:
         ``(kind, rect) -> result`` applying one mutation.  Defaults to
@@ -279,7 +280,7 @@ class FrontDoor:
         self.writes = 0
 
     # ------------------------------------------------------------------
-    # dispatch: the one place a batch meets the engine
+    # dispatch: the one place a batch meets the backend
     # ------------------------------------------------------------------
     def _dispatch(
         self, coords: "npt.NDArray[np.float64]"
@@ -287,7 +288,7 @@ class FrontDoor:
         # the previous batch's answers leave before this one computes
         self._flush()
         # rows were validated individually at admission, so the batch
-        # skips re-validation; bit-identity with a direct engine call
+        # skips re-validation; bit-identity with a direct backend call
         # holds because the kernels evaluate rows independently
         rects = RectSet(coords, copy=False, validate=False)
         values = np.asarray(

@@ -1,11 +1,16 @@
-"""Bucket index: pruning the per-query bucket scan.
+"""Bucket index: naming the buckets a query can touch.
 
 A bucket histogram answers a query by summing the Section 3.1 formula
 over *every* bucket, but most buckets contribute exactly 0.0 — their
 box (extended by the bucket's average member extents) misses the query
-entirely.  :class:`BucketIndex` names the buckets that *can* contribute
-so the scalar path only evaluates those, dropping per-query cost from
-O(buckets) to near O(answer).
+entirely.  :class:`BucketIndex` names the buckets that *can* contribute.
+
+Nothing in :mod:`repro` probes this index any more: at the paper's
+bucket budgets (50–750 buckets, Section 5.4) one vectorised pass over
+every bucket is cheaper than a probe.  The module stays only because
+the repository benchmark's tracer (``perfbench/tracing.py``) imports
+:class:`BucketIndex` by path to wrap its methods; it goes when that
+tracer stops importing it.
 
 The pruning is made mathematically exact by *inflating* each bucket box
 by half the bucket's average extents before indexing it: the Section
@@ -15,7 +20,7 @@ when the raw query intersects the inflated box.  Degenerate (zero-area)
 buckets use the raw touch test in the kernel and are indexed
 un-inflated.  Inflated boxes contain the raw boxes, so the candidate
 set is always a superset of the buckets whose raw box intersects the
-query — the property the index test suite asserts.
+query — the property ``tests/test_serving_index.py`` asserts.
 
 Two probe structures share that contract:
 
@@ -64,10 +69,8 @@ class BucketIndex:
         bucket count so the grid has roughly ``4 × n`` cells.
     epoch:
         The source summary's epoch at build time.  The index itself
-        never consults it — it exists so an owner watching a live
-        summary (the serving engine's revalidation step) can tell
-        which version of the buckets this index describes and rebuild
-        when the summary moves past it.
+        never consults it — it tells an owner watching a live summary
+        which version of the buckets this index describes.
     """
 
     def __init__(

@@ -29,10 +29,9 @@ of three properties the router relies on:
 * per-shard partials are evaluated over the same bucket list in the
   same order whether the batch was clipped or not;
 * clipping a query to a shard's *routing box* (the MBR of the shard's
-  inflated bucket boxes — the same inflation rule
-  :class:`~repro.serving.BucketIndex` uses) never changes any clamp in
-  the Section 3.1 formula, because every inflated bucket box is
-  contained in the routing box;
+  inflated bucket boxes, see :func:`_inflated_mbr`) never changes any
+  clamp in the Section 3.1 formula, because every inflated bucket box
+  is contained in the routing box;
 * a query that misses the routing box contributes exactly ``+0.0`` for
   every bucket of that shard, so skipping the shard is the identity on
   a non-negative accumulator.
@@ -216,10 +215,10 @@ class ShardPlan:
 def _inflated_mbr(buckets: Sequence[Bucket]) -> Optional[Rect]:
     """MBR of the buckets' inflated boxes (None for no buckets).
 
-    Uses the exact inflation rule of
-    :class:`~repro.serving.BucketIndex`: half the average member
-    extents per side, except degenerate (zero-area) boxes, which the
-    kernel answers with a raw touch test and are left uninflated.
+    A bucket box is inflated by half its average member extents per
+    side — the Section 3.1 formula's query extension folded onto the
+    bucket — except degenerate (zero-area) boxes, which the kernel
+    answers with a raw touch test and are left uninflated.
     """
     if not buckets:
         return None

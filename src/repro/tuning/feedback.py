@@ -4,8 +4,9 @@ The loop has three stages, all off the query hot path:
 
 1. **Collect** — :class:`FeedbackCollector` samples every Nth served
    (query, estimate) pair.  Sampling is deterministic (a modular
-   counter, no RNG) and O(1) per query, so attaching a collector to a
-   serving engine never perturbs answers or timing-sensitive paths.
+   counter, no RNG) and O(1) per query, so offering every served
+   answer to a collector never perturbs answers or timing-sensitive
+   paths.
 2. **Score** — :meth:`FeedbackTuner.tune` first re-derives every
    bucket summary exactly from the retained rows (discarding the
    incremental-maintenance float drift), then asks the exact counting

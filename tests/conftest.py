@@ -83,7 +83,10 @@ class ServedEngine:
     point (the router's in pooled mode, so worker replicas adopt the
     tuned layout); ``reference`` is the single-engine union answer
     over the *current* shard state (so it tracks mutations and
-    tuning).  The building fixture owns ``close``.
+    tuning), built fresh on every call — for the ``direct`` kind,
+    which serves one long-lived union estimator, that makes the
+    comparison a check of the long-lived estimator's epoch-keyed
+    kernel snapshots.  The building fixture owns ``close``.
     """
 
     def __init__(self, kind, sharded, estimate_batch, insert,
@@ -102,29 +105,19 @@ class ServedEngine:
 
 def _build_served_engine(kind, data, *, n_shards=3, n_buckets=16,
                          n_regions=256, max_batch=16, wait_steps=2):
-    from repro.serving import (
-        BatchServingEngine,
-        FrontDoorThread,
-        ShardedHistogram,
-        ShardRouter,
-    )
+    from repro.serving import FrontDoorThread, ShardedHistogram, \
+        ShardRouter
 
     sharded = ShardedHistogram.build(
         data, n_shards=n_shards, n_buckets=n_buckets,
         n_regions=n_regions,
     )
     if kind == "direct":
-        # the union reference itself behind a batch engine, rebuilt
-        # per serve so mutations are always visible; cache off keeps
-        # it stateless
-        def serve(queries):
-            return BatchServingEngine(
-                sharded.union_estimator(), cache_size=0,
-                auto_index=False,
-            ).estimate_batch(queries)
-
+        # one long-lived union estimator: its per-shard kernel
+        # snapshots must follow every mutation and tune through the
+        # shard epochs, or it drifts from the fresh reference()
         return ServedEngine(
-            kind, sharded, serve,
+            kind, sharded, sharded.union_estimator().estimate_batch,
             insert=sharded.insert, delete=sharded.delete,
             close=lambda: None, tune=sharded.tune,
         )

@@ -14,8 +14,8 @@ Covers, in ISSUE order:
 * **baseline**: write/load/apply round-trip and corruption errors;
 * **CLI**: the ``--project``/``--baseline``/``--sarif`` surface;
 * **the real tree**: ``src/`` lints clean under the project pass;
-* **mutation self-test**: deleting the ``_revalidate()`` call or the
-  ``__setstate__`` hook from a copy of the serving package flips the
+* **mutation self-test**: deleting the ``sync()`` call or the
+  ``__setstate__`` hook from a copy of the source tree flips the
   project pass non-zero — proof the rules guard what they claim to.
 """
 
@@ -369,21 +369,35 @@ class TestDominance:
 # EPOCH001
 # ----------------------------------------------------------------------
 _EPOCH_CLEAN = {
-    "serving/engine.py": """
-        class Engine:
-            def _revalidate(self):
+    "estimators/bucket.py": """
+        class BucketEstimator:
+            def sync(self):
                 self.epoch = 1
 
-            def estimate(self, key):
-                self._revalidate()
-                return self.cache.lookup(key)
+            def estimate(self, qrow):
+                self.sync()
+                return self._arrays.estimate_block(qrow)
 
-            def estimate_batch(self, keys):
-                self._revalidate()
-                return self._serve(keys)
+            def estimate_batch(self, queries):
+                self.sync()
+                return self._serve(queries)
 
-            def _serve(self, keys):
-                return self.cache.lookup_batch(keys)
+            def _serve(self, queries):
+                return estimate_many_arrays(self._arrays, queries)
+    """,
+}
+
+
+#: exactly one finding under every rule: a snapshot read no sync()
+#: dominates
+_EPOCH_FINDING = {
+    "serving/live.py": """
+        class LiveEstimator:
+            def sync(self):
+                self.epoch = 1
+
+            def estimate(self, qrow):
+                return self._arrays.estimate_block(qrow)
     """,
 }
 
@@ -394,63 +408,58 @@ class TestEpoch001:
         assert rule_findings("EPOCH001", project) == []
 
     def test_undominated_public_read_fires(self, tmp_path):
-        project = project_of(tmp_path, {
-            "serving/engine.py": """
-                class Engine:
-                    def _revalidate(self):
-                        self.epoch = 1
-
-                    def estimate(self, key):
-                        return self.cache.lookup(key)
-            """,
-        })
+        project = project_of(tmp_path, _EPOCH_FINDING)
         found = rule_findings("EPOCH001", project)
         assert len(found) == 1
         assert found[0].rule == "EPOCH001"
-        assert "Engine.estimate" in found[0].message
+        assert "LiveEstimator.estimate" in found[0].message
 
     def test_undominated_call_to_needy_private_fires(self, tmp_path):
-        project = project_of(tmp_path, {
-            "serving/engine.py": """
-                class Engine:
-                    def _revalidate(self):
-                        self.epoch = 1
-
-                    def estimate_batch(self, keys):
-                        return self._serve(keys)
-
-                    def _serve(self, keys):
-                        return self.cache.lookup_batch(keys)
-            """,
-        })
-        found = rule_findings("EPOCH001", project)
-        assert len(found) == 1
-        assert "_serve" in found[0].message
-
-    def test_index_probe_needs_sync(self, tmp_path):
         project = project_of(tmp_path, {
             "estimators/bucket.py": """
                 class BucketEstimator:
                     def sync(self):
                         self.epoch = 1
 
-                    def probe(self, rect):
-                        return self._index.candidates(rect)
+                    def estimate_batch(self, queries):
+                        return self._serve(queries)
+
+                    def _serve(self, queries):
+                        return self._arrays.estimate_block(queries)
             """,
         })
         found = rule_findings("EPOCH001", project)
         assert len(found) == 1
-        assert "candidates" in found[0].message
+        assert "_serve" in found[0].message
+
+    def test_snapshot_passed_as_argument_needs_sync(self, tmp_path):
+        """Handing the snapshot to a kernel function reads it as
+        surely as calling a method on it."""
+        project = project_of(tmp_path, {
+            "serving/union.py": """
+                class UnionEstimator:
+                    def _revalidate(self):
+                        self.epoch = 1
+
+                    def estimate_batch(self, queries):
+                        return estimate_many_arrays(
+                            queries, arrays=self._arrays
+                        )
+            """,
+        })
+        found = rule_findings("EPOCH001", project)
+        assert len(found) == 1
+        assert "kernel-snapshot read" in found[0].message
 
     def test_out_of_scope_package_ignored(self, tmp_path):
         project = project_of(tmp_path, {
             "viz/plot.py": """
                 class Plotter:
-                    def _revalidate(self):
+                    def sync(self):
                         pass
 
-                    def draw(self, key):
-                        return self.cache.lookup(key)
+                    def draw(self, qrow):
+                        return self._arrays.estimate_block(qrow)
             """,
         })
         assert rule_findings("EPOCH001", project) == []
@@ -779,16 +788,7 @@ class TestSup001AndDriver:
 # ----------------------------------------------------------------------
 class TestReporters:
     def _result_with_findings(self, tmp_path):
-        write_package(tmp_path, {
-            "serving/engine.py": """
-                class Engine:
-                    def _revalidate(self):
-                        self.epoch = 1
-
-                    def estimate(self, key):
-                        return self.cache.lookup(key)
-            """,
-        })
+        write_package(tmp_path, _EPOCH_FINDING)
         return lint_project([tmp_path / "repro"])
 
     def test_json_round_trip(self, tmp_path):
@@ -827,16 +827,7 @@ class TestReporters:
 # ----------------------------------------------------------------------
 class TestBaseline:
     def test_round_trip_hides_baselined_findings(self, tmp_path):
-        write_package(tmp_path, {
-            "serving/engine.py": """
-                class Engine:
-                    def _revalidate(self):
-                        self.epoch = 1
-
-                    def estimate(self, key):
-                        return self.cache.lookup(key)
-            """,
-        })
+        write_package(tmp_path, _EPOCH_FINDING)
         result = lint_project([tmp_path / "repro"])
         assert not result.ok
         baseline_path = tmp_path / "baseline.json"
@@ -865,32 +856,14 @@ class TestBaseline:
 # ----------------------------------------------------------------------
 class TestCli:
     def test_project_pass_exits_on_findings(self, tmp_path, capsys):
-        write_package(tmp_path, {
-            "serving/engine.py": """
-                class Engine:
-                    def _revalidate(self):
-                        self.epoch = 1
-
-                    def estimate(self, key):
-                        return self.cache.lookup(key)
-            """,
-        })
+        write_package(tmp_path, _EPOCH_FINDING)
         code = main(["lint", "--project", str(tmp_path / "repro")])
         out = capsys.readouterr().out
         assert code == 1
         assert "EPOCH001" in out
 
     def test_write_then_apply_baseline(self, tmp_path, capsys):
-        write_package(tmp_path, {
-            "serving/engine.py": """
-                class Engine:
-                    def _revalidate(self):
-                        self.epoch = 1
-
-                    def estimate(self, key):
-                        return self.cache.lookup(key)
-            """,
-        })
+        write_package(tmp_path, _EPOCH_FINDING)
         baseline = tmp_path / "baseline.json"
         assert main([
             "lint", "--project", str(tmp_path / "repro"),
@@ -937,6 +910,16 @@ class TestRealTree:
         assert prints == frozenset()
 
 
+#: ``BucketEstimator._estimate_batch``'s revalidation, and the mutant
+#: that deletes it (the kernel read then runs unsynced)
+_SYNCED_BATCH = (
+    "        self.sync()\n"
+    "        if OBS.enabled:\n"
+    "            OBS.add(\"estimator.buckets_inspected\","
+)
+_UNSYNCED_BATCH = _SYNCED_BATCH.replace("        self.sync()\n", "")
+
+
 @pytest.fixture()
 def tree_copy(tmp_path):
     target = tmp_path / "repro"
@@ -951,56 +934,41 @@ class TestMutationSelfTest:
         assert lint_project([tree_copy]).ok
 
     def test_removing_revalidate_call_fires_epoch001(self, tree_copy):
-        engine = tree_copy / "serving" / "engine.py"
-        source = engine.read_text()
-        guarded = (
-            "self._revalidate()\n"
-            "            values = self._serve(queries)"
+        bucket = tree_copy / "estimators" / "bucket_estimator.py"
+        source = bucket.read_text()
+        assert _SYNCED_BATCH in source, (
+            "_estimate_batch no longer matches the mutation template; "
+            "update this test alongside the bucket estimator"
         )
-        assert guarded in source, (
-            "estimate_batch no longer matches the mutation template; "
-            "update this test alongside the engine"
-        )
-        engine.write_text(source.replace(
-            guarded, "values = self._serve(queries)"
-        ))
+        bucket.write_text(source.replace(_SYNCED_BATCH, _UNSYNCED_BATCH))
         result = lint_project([tree_copy])
+        fired = [
+            v for v in result.violations if v.rule == "EPOCH001"
+        ]
+        assert fired, "\n".join(v.format() for v in result.violations)
         assert any(
-            v.rule == "EPOCH001" for v in result.violations
-        ), "\n".join(v.format() for v in result.violations)
+            "BucketEstimator._estimate_batch" in v.message for v in fired
+        )
 
     def test_removing_setstate_fires_pickle001(self, tree_copy):
-        engine = tree_copy / "serving" / "engine.py"
-        source = engine.read_text()
+        shard = tree_copy / "serving" / "shard.py"
+        source = shard.read_text()
         tree = ast.parse(source)
         span = None
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) \
-                    and node.name == "__setstate__":
-                span = (node.lineno, node.end_lineno)
-                break
-        assert span is not None
+            if isinstance(node, ast.ClassDef) \
+                    and node.name == "HistogramShard":
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) \
+                            and item.name == "__setstate__":
+                        span = (item.lineno, item.end_lineno)
+        assert span is not None, (
+            "HistogramShard no longer defines __setstate__; update "
+            "this test alongside the shard"
+        )
         lines = source.splitlines(keepends=True)
         del lines[span[0] - 1:span[1]]
-        engine.write_text("".join(lines))
-        # shards no longer carry an engine to pool workers; hand one
-        # back to the worker payload so the reachability half has an
-        # id()-keyed engine crossing the ShardWorkerPool boundary
-        shard = tree_copy / "serving" / "shard.py"
-        source = shard.read_text()
-        held = "        self.chain: Optional[GuardedEstimator] = None\n"
-        imports = "from ..tuning import FeedbackTuner, TuningReport\n"
-        assert held in source and imports in source, (
-            "HistogramShard no longer matches the mutation template; "
-            "update this test alongside the shard"
-        )
-        shard.write_text(source.replace(
-            held,
-            held + "        self.engine: "
-                   "Optional[BatchServingEngine] = None\n",
-        ).replace(
-            imports, imports + "from .engine import BatchServingEngine\n"
-        ))
+        shard.write_text("".join(lines))
         result = lint_project([tree_copy])
         pickled = [
             v for v in result.violations if v.rule == "PICKLE001"
@@ -1008,12 +976,11 @@ class TestMutationSelfTest:
         assert pickled, "\n".join(
             v.format() for v in result.violations
         )
-        # both the pair check and the reachability check fire
+        # the hook-pair check fires on the one-sided shard
         assert any(
-            "crosses a pickle boundary" in v.message for v in pickled
-        )
-        assert any(
-            "without __setstate__" in v.message for v in pickled
+            "without __setstate__" in v.message
+            and "HistogramShard" in v.message
+            for v in pickled
         )
 
     def test_removing_deadline_check_fires_res002(self, tree_copy):
@@ -1067,11 +1034,8 @@ class TestMutationSelfTest:
         )
 
     def test_cli_exits_nonzero_on_mutated_tree(self, tree_copy):
-        engine = tree_copy / "serving" / "engine.py"
-        source = engine.read_text()
-        engine.write_text(source.replace(
-            "self._revalidate()\n"
-            "            values = self._serve(queries)",
-            "values = self._serve(queries)",
-        ))
+        bucket = tree_copy / "estimators" / "bucket_estimator.py"
+        source = bucket.read_text()
+        assert _SYNCED_BATCH in source
+        bucket.write_text(source.replace(_SYNCED_BATCH, _UNSYNCED_BATCH))
         assert main(["lint", "--project", str(tree_copy)]) == 1

@@ -4,10 +4,12 @@ Every batch entry point routes its query block through
 :func:`repro.geometry.validate.validate_coords_array` before any kernel
 runs, so a :class:`~repro.geometry.RectSet` constructed with
 ``validate=False`` cannot smuggle NaN, infinite, or inverted rectangles
-into an estimator, the serving engine, or the resilience chain.  These
-tests build exactly such hostile batches and assert the
-:class:`~repro.errors.GeometryError` fires — and that a rejected batch
-leaves the serving cache untouched.
+into an estimator or the resilience chain.  These tests build exactly
+such hostile batches and assert the
+:class:`~repro.errors.GeometryError` fires — and that the estimator
+still serves valid work afterwards.  The scalar path rejects exactly
+what the batch path rejects, even for a hostile :class:`Rect` that
+skipped its own constructor check.
 """
 
 import numpy as np
@@ -20,7 +22,6 @@ from repro.eval import ALL_TECHNIQUES, build_estimator
 from repro.geometry import RectSet
 from repro.obs import OBS
 from repro.resilience import build_fallback_chain
-from repro.serving import BatchServingEngine
 from repro.workload import range_queries
 
 DATA = charminar(400, seed=7)
@@ -75,32 +76,27 @@ class TestEstimatorBatchValidation:
             RectSet(HOSTILE["inverted_x"])
 
 
-class TestEngineValidation:
-    def test_rejected_batch_leaves_cache_untouched(self):
+class TestBucketEstimatorValidation:
+    def test_valid_work_served_after_rejection(self):
         est = build_estimator("Min-Skew", DATA, 8, n_regions=100)
-        engine = BatchServingEngine(est, auto_index=False)
-        try:
-            for kind in sorted(HOSTILE):
-                with pytest.raises(GeometryError):
-                    engine.estimate_batch(_rectset(kind))
-            assert len(engine.cache) == 0
-            assert engine.cache.hits == 0
-            assert engine.cache.misses == 0
-            # the engine still serves valid work afterwards
-            good = range_queries(DATA, 0.1, 10, seed=2)
-            np.testing.assert_array_equal(
-                engine.estimate_batch(good), est.estimate_batch(good)
-            )
-        finally:
-            engine.detach_indexes()
+        for kind in sorted(HOSTILE):
+            with pytest.raises(GeometryError):
+                est.estimate_batch(_rectset(kind))
+        # the estimator still serves valid work afterwards
+        good = range_queries(DATA, 0.1, 10, seed=2)
+        np.testing.assert_array_equal(
+            est.estimate_batch(good),
+            build_estimator(
+                "Min-Skew", DATA, 8, n_regions=100
+            ).estimate_batch(good),
+        )
 
     def test_zero_area_queries_are_valid(self):
         est = build_estimator("Grid", DATA, 8)
-        engine = BatchServingEngine(est, auto_index=False)
         coords = np.tile(
             np.array([[10.0, 10.0, 10.0, 10.0]]), (3, 1)
         )
-        out = engine.estimate_batch(RectSet(coords))
+        out = est.estimate_batch(RectSet(coords))
         assert out.shape == (3,)
         assert np.isfinite(out).all()
 
@@ -109,8 +105,9 @@ def _hostile_rect(x1, y1, x2, y2):
     """A Rect carrying coordinates its constructor would reject.
 
     ``Rect.__post_init__`` validates, so a NaN/inverted scalar query
-    can only reach the engine through an object that skipped it — the
-    same trust boundary a ``RectSet(validate=False)`` batch crosses.
+    can only reach an estimator through an object that skipped it —
+    the same trust boundary a ``RectSet(validate=False)`` batch
+    crosses.
     """
     from repro.geometry import Rect
 
@@ -130,37 +127,33 @@ HOSTILE_SCALARS = {
 }
 
 
-class TestEngineScalarValidation:
+class TestScalarValidation:
     """The scalar path must reject exactly what the batch path
-    rejects — before the cache sees the query (a NaN key could never
-    hit and would grow the cache forever)."""
+    rejects — before the query reaches the kernel, where a NaN or
+    inverted extent would yield a silent wrong answer."""
 
     @pytest.mark.parametrize("kind", sorted(HOSTILE_SCALARS))
     def test_hostile_scalar_rejected(self, kind):
         est = build_estimator("Min-Skew", DATA, 8, n_regions=100)
-        engine = BatchServingEngine(est, auto_index=False)
         with pytest.raises(GeometryError):
-            engine.estimate(_hostile_rect(*HOSTILE_SCALARS[kind]))
-        assert len(engine.cache) == 0
-        assert engine.cache.misses == 0
+            est.estimate(_hostile_rect(*HOSTILE_SCALARS[kind]))
 
     @pytest.mark.parametrize("kind", sorted(HOSTILE_SCALARS))
-    def test_scalar_and_batch_paths_agree_on_rejection(self, kind):
+    def test_scalar_and_batch_reject_alike(self, kind):
         est = build_estimator("Grid", DATA, 8)
-        engine = BatchServingEngine(est, auto_index=False)
         coords = np.array([HOSTILE_SCALARS[kind]], dtype=np.float64)
         with pytest.raises(GeometryError):
-            engine.estimate_batch(RectSet(coords, validate=False))
+            est.estimate_batch(RectSet(coords, validate=False))
         with pytest.raises(GeometryError):
-            engine.estimate(_hostile_rect(*HOSTILE_SCALARS[kind]))
+            est.estimate(_hostile_rect(*HOSTILE_SCALARS[kind]))
 
-    def test_valid_scalar_still_served_and_cached(self):
+    def test_valid_scalar_still_served(self):
         est = build_estimator("Grid", DATA, 8)
-        engine = BatchServingEngine(est, auto_index=False)
         query = next(iter(range_queries(DATA, 0.1, 1, seed=3)))
-        value = engine.estimate(query)
-        assert value == est.estimate(query)
-        assert len(engine.cache) == 1
+        value = est.estimate(query)
+        assert value == float(
+            est.estimate_batch(RectSet.from_rects([query]))[0]
+        )
 
 
 class TestGuardedChainValidation:

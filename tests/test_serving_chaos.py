@@ -1,10 +1,10 @@
 """Chaos tests for the vectorised serving path.
 
-The batch engine must inherit the resilience chain's degradation
-semantics unchanged: an injected fault in the Min-Skew path makes the
-*whole batch* fall through to the next healthy link, the resilience
-counters account for every query in the batch, and the engine's cache
-stays consistent with whatever the degraded chain answered.
+Serving a batch through the resilience chain keeps its degradation
+semantics: an injected fault in the Min-Skew path makes the *whole
+batch* fall through to the next healthy link, the resilience counters
+account for every query in the batch, and once the fault clears the
+chain answers exactly like one that never failed.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ import pytest
 
 from repro.data import uniform_rects
 from repro.errors import FallbackExhaustedError
-from repro.estimators import BucketEstimator
 from repro.resilience import (
     FaultInjector,
     FaultPlan,
@@ -20,7 +19,6 @@ from repro.resilience import (
     build_fallback_chain,
     installed,
 )
-from repro.serving import BatchServingEngine
 from repro.workload import range_queries
 
 N_QUERIES = 60
@@ -41,17 +39,15 @@ def _chain(data, **kwargs):
 
 
 def _run(chain, queries, plan, capture):
-    """Serve a batch through the engine under an installed fault plan;
+    """Serve a batch through the chain under an installed fault plan;
     ``capture`` is the ``capture_counters`` fixture; returns
-    (values, counters, engine)."""
-    engine = BatchServingEngine(chain, auto_index=False)
+    (values, counters)."""
 
     def serve():
         with installed(FaultInjector(plan, clock=chain.clock)):
-            return engine.estimate_batch(queries)
+            return chain.estimate_batch(queries)
 
-    values, counters = capture(serve)
-    return values, counters, engine
+    return capture(serve)
 
 
 class TestDegradedBatchServing:
@@ -62,15 +58,12 @@ class TestDegradedBatchServing:
         plan = FaultPlan(
             0, (FaultSpec("estimator.build.Min-Skew", kind="corrupt"),)
         )
-        values, counters, _ = _run(chain, queries, plan, capture_counters)
+        values, counters = _run(chain, queries, plan, capture_counters)
         assert values.shape == (N_QUERIES,)
         assert np.isfinite(values).all() and (values >= 0.0).all()
         assert counters.get("resilience.link_failures.Min-Skew") == 1
         assert counters.get("resilience.served.Sample") == N_QUERIES
         assert counters.get("resilience.degraded") == N_QUERIES
-        # the serving layer accounted for the batch too
-        assert counters.get("serving.requests") == 1
-        assert counters.get("serving.queries") == N_QUERIES
 
     def test_degraded_answers_match_fallback_link(
         self, data, queries, capture_counters
@@ -81,7 +74,7 @@ class TestDegradedBatchServing:
         plan = FaultPlan(
             0, (FaultSpec("estimator.build.Min-Skew", kind="corrupt"),)
         )
-        values, _, _ = _run(chain, queries, plan, capture_counters)
+        values, _ = _run(chain, queries, plan, capture_counters)
         sample_link = next(
             link for link in chain.links if link.name == "Sample"
         )
@@ -95,7 +88,7 @@ class TestDegradedBatchServing:
         # build succeeds; the *serve* site fails
         plan = FaultPlan(0, (FaultSpec("estimator.Min-Skew",
                                        kind="fail"),))
-        values, counters, _ = _run(chain, queries, plan, capture_counters)
+        values, counters = _run(chain, queries, plan, capture_counters)
         assert np.isfinite(values).all()
         assert counters.get("resilience.link_failures.Min-Skew") == 1
         assert counters.get("resilience.served.Sample") == N_QUERIES
@@ -109,7 +102,7 @@ class TestDegradedBatchServing:
             (FaultSpec("estimator.Min-Skew", kind="io",
                        recover_after=1),),
         )
-        values, counters, _ = _run(chain, queries, plan, capture_counters)
+        values, counters = _run(chain, queries, plan, capture_counters)
         assert counters.get("resilience.retries") == 1
         assert counters.get("resilience.served.Min-Skew") == N_QUERIES
         assert "resilience.degraded" not in counters
@@ -125,7 +118,7 @@ class TestDegradedBatchServing:
         chain = _chain(data)
         plan = FaultPlan(0, (FaultSpec("estimator.build.*",
                                        kind="corrupt"),))
-        values, counters, _ = _run(chain, queries, plan, capture_counters)
+        values, counters = _run(chain, queries, plan, capture_counters)
         np.testing.assert_array_equal(
             values, np.zeros(N_QUERIES, dtype=np.float64)
         )
@@ -142,53 +135,34 @@ class TestDegradedBatchServing:
         chain.last_resort = None
         plan = FaultPlan(0, (FaultSpec("estimator.build.*",
                                        kind="corrupt"),))
-        engine = BatchServingEngine(chain, auto_index=False)
         with installed(FaultInjector(plan, clock=chain.clock)):
             with pytest.raises(FallbackExhaustedError):
-                engine.estimate_batch(queries)
+                chain.estimate_batch(queries)
 
 
 class TestCacheUnderDegradation:
-    def test_degraded_values_are_never_cached(
-        self, data, queries, capture_counters
-    ):
-        """A batch served by a fallback link must not populate the
-        cache — otherwise popular queries keep getting Sample-quality
-        answers long after the chain recovers."""
-        chain = _chain(data)
-        plan = FaultPlan(
-            0, (FaultSpec("estimator.build.Min-Skew", kind="corrupt"),)
-        )
-        first, counters, engine = _run(chain, queries, plan, capture_counters)
-        assert counters.get("resilience.degraded") == N_QUERIES
-        assert len(engine.cache) == 0
-
     def test_post_recovery_answers_match_healthy_estimator(
         self, data, queries, capture_counters
     ):
         """Once the injected fault clears, the very next serve answers
         with the healthy (Min-Skew) link's values — bit-identical to a
-        chain that never failed — and only those get cached."""
+        chain that never failed — and keeps answering them."""
         chain = _chain(data)
         plan = FaultPlan(
             0, (FaultSpec("estimator.build.Min-Skew", kind="corrupt"),)
         )
-        first, _, engine = _run(chain, queries, plan, capture_counters)
+        first, _ = _run(chain, queries, plan, capture_counters)
         # injector gone; one build failure leaves the breaker closed
         # (threshold 3), so the chain rebuilds Min-Skew and recovers
-        second = engine.estimate_batch(queries)
+        second = chain.estimate_batch(queries)
         healthy = _chain(data)
         np.testing.assert_array_equal(
             second, healthy.estimate_batch(queries)
         )
         assert not np.array_equal(second, first)
-        # the recovery was a serving-link transition: the engine
-        # flushed the cache before repopulating it with healthy values
-        assert engine.cache.flushes == 1
-        hits_before = engine.cache.hits
-        third = engine.estimate_batch(queries)
-        np.testing.assert_array_equal(third, second)
-        assert engine.cache.hits == hits_before + N_QUERIES
+        np.testing.assert_array_equal(
+            chain.estimate_batch(queries), second
+        )
 
 
 class TestShardedChaos:
@@ -332,49 +306,26 @@ class TestShardedChaos:
 
 
 class TestLazyLinkIndexing:
-    def test_lazily_built_link_is_indexed_on_discovery(
-        self, data, queries
-    ):
-        """Engine construction finds no built links (the chain is
-        fully lazy); the Min-Skew link built during the first serve
-        must still receive a BucketIndex on the next revalidation
-        instead of scanning every bucket forever."""
-        chain = _chain(data)
-        engine = BatchServingEngine(chain)
-        assert engine.indexed == []
-        engine.estimate_batch(queries)  # builds the Min-Skew link
-        engine.estimate(queries[0])  # revalidation discovers it
-        minskew = next(
-            link for link in chain.links if link.name == "Min-Skew"
-        ).built_estimator
-        assert isinstance(minskew, BucketEstimator)
-        assert minskew.index is not None
-        assert minskew in engine.indexed
-
     def test_link_built_after_degradation_is_indexed(
         self, data, queries
     ):
-        """The satellite scenario: the chain degrades first (Min-Skew
-        unbuilt, Sample serving), then recovers — the late-built
-        Min-Skew link still gets its index, and the indexed scalar
-        path answers exactly like a healthy chain's."""
+        """The chain degrades first (Min-Skew unbuilt, Sample
+        serving), then recovers — the late-built Min-Skew link's
+        scalar path answers exactly like a healthy chain's."""
         chain = _chain(data)
         plan = FaultPlan(
             0, (FaultSpec("estimator.build.Min-Skew", kind="corrupt"),)
         )
-        engine = BatchServingEngine(chain)
         with installed(FaultInjector(plan, clock=chain.clock)):
-            engine.estimate_batch(queries)
-        assert engine.indexed == []  # only Sample built; no buckets
-        engine.estimate_batch(queries)  # recovery: Min-Skew builds
-        engine.estimate(queries[0])  # discovery + index attach
+            chain.estimate_batch(queries)
+        chain.estimate_batch(queries)  # recovery: Min-Skew builds
         minskew = next(
             link for link in chain.links if link.name == "Min-Skew"
         ).built_estimator
-        assert minskew is not None and minskew.index is not None
+        assert minskew is not None
         healthy = _chain(data)
         for q in list(queries)[:10]:
-            assert engine.estimate(q) == healthy.estimate(q)
+            assert chain.estimate(q) == healthy.estimate(q)
 
 
 class TestFrontDoorWorkerKillChaos:

@@ -6,8 +6,6 @@ single bit of output:
 * every estimator's ``estimate_batch`` equals the scalar
   one-query-at-a-time loop to **exact float equality** (both routes
   run the same numpy kernels, scalar as a batch of one);
-* serving through the engine's LRU cache equals serving without it,
-  across repeated and duplicated queries;
 * an ``evaluate_sweep`` with ``workers=4`` is byte-identical to
   ``workers=1`` — same summaries, same dict order, same merged
   counters.
@@ -24,7 +22,6 @@ from hypothesis import strategies as st
 from repro.data import charminar, uniform_rects
 from repro.estimators.exact import ExactEstimator
 from repro.eval import ALL_TECHNIQUES, ExperimentRunner, build_estimator
-from repro.serving import BatchServingEngine
 from repro.workload import point_queries, range_queries
 
 DATA = charminar(1_200, seed=5)
@@ -81,62 +78,6 @@ class TestBatchEqualsScalar:
         out = estimator.estimate_batch(RectSet.empty())
         assert out.shape == (0,)
         assert out.dtype == np.float64
-
-
-class TestCacheTransparency:
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=10, deadline=None)
-    def test_cache_on_equals_cache_off(self, estimator, seed):
-        queries = range_queries(DATA, 0.08, 30, seed=seed)
-        reference = estimator.estimate_batch(queries)
-        engine = BatchServingEngine(
-            estimator, cache_size=64, auto_index=False
-        )
-        try:
-            cold = engine.estimate_batch(queries)
-            warm = engine.estimate_batch(queries)
-        finally:
-            engine.detach_indexes()
-        np.testing.assert_array_equal(cold, reference)
-        np.testing.assert_array_equal(warm, reference)
-        assert engine.cache.hits >= len(queries)
-
-    def test_duplicate_queries_within_one_batch(self, estimator):
-        from repro.geometry import RectSet
-
-        base = range_queries(DATA, 0.05, 20, seed=9)
-        doubled = RectSet(np.vstack([base.coords, base.coords]))
-        reference = estimator.estimate_batch(doubled)
-        engine = BatchServingEngine(estimator, auto_index=False)
-        np.testing.assert_array_equal(
-            engine.estimate_batch(doubled), reference
-        )
-        # the second copy of each query is answered from the cache on
-        # the next call
-        np.testing.assert_array_equal(
-            engine.estimate_batch(base), reference[:20]
-        )
-
-    def test_eviction_preserves_answers(self, estimator):
-        queries = range_queries(DATA, 0.05, 40, seed=11)
-        reference = estimator.estimate_batch(queries)
-        engine = BatchServingEngine(
-            estimator, cache_size=8, auto_index=False
-        )
-        for _ in range(3):
-            np.testing.assert_array_equal(
-                engine.estimate_batch(queries), reference
-            )
-        assert engine.cache.evictions > 0
-
-    def test_scalar_path_uses_cache(self, estimator):
-        queries = range_queries(DATA, 0.05, 10, seed=13)
-        engine = BatchServingEngine(estimator, auto_index=False)
-        first = [engine.estimate(q) for q in queries]
-        hits_before = engine.cache.hits
-        second = [engine.estimate(q) for q in queries]
-        assert first == second
-        assert engine.cache.hits == hits_before + len(queries)
 
 
 class TestParallelSweepDeterminism:

@@ -13,8 +13,9 @@ Three layers, three promises:
   — answers bit-for-bit like a sequential reference applying the same
   submission order (the hypothesis differential);
 * the TCP front door serves those same answers over the wire: a
-  pipelined client equals the direct engine exactly, mutations route
-  through, protocol violations come back as typed error responses.
+  pipelined client equals the directly served estimator exactly,
+  mutations route through, protocol violations come back as typed
+  error responses.
 
 The parameterized ``served_engine`` fixture (conftest) closes the
 loop: direct, sharded, pooled, and server stacks all answer the shared
@@ -42,12 +43,7 @@ from repro.errors import OverloadedError, ReproError, ValidationError
 from repro.estimators import BucketEstimator, MaintainedEstimator
 from repro.geometry import Rect, RectSet
 from repro.resilience import StepClock
-from repro.serving import (
-    BatchServingEngine,
-    FrontDoorThread,
-    MicroBatcher,
-    PendingReply,
-)
+from repro.serving import FrontDoorThread, MicroBatcher, PendingReply
 from repro.serving.frontdoor import MAX_FRAME_BYTES, encode_frame
 from repro.workload import live_workload, range_queries
 
@@ -283,18 +279,18 @@ class TestAdmissionControl:
 
 
 def _live_engine():
-    """A maintained histogram behind a serving engine + its handle."""
+    """A maintained histogram and the live estimator serving it."""
     hist = MaintainedHistogram(
         MinSkewPartitioner(8, n_regions=100), DATA,
         drift_threshold=0.9,
     )
-    return hist, BatchServingEngine(MaintainedEstimator(hist))
+    return hist, MaintainedEstimator(hist)
 
 
 class TestInterleavingDifferential:
     """The tentpole property: any interleaving == sequential reference.
 
-    One batcher over a live engine, one plain engine driven
+    One batcher over a live estimator, a second one driven
     sequentially in the identical submission order.  Hypothesis draws
     the workload seed *and* the trigger landscape — tiny max_batch
     (size-fired), tick cadence (clock-fired), and the final ``close``
@@ -354,79 +350,6 @@ class TestInterleavingDifferential:
         batcher.close()
         got = [reply.result() for reply in replies]
         assert got == expected  # bit-for-bit float equality
-
-
-class TestMidBatchMutationEpoch:
-    """Satellite regression: a mutation landing *mid-batch*.
-
-    The engine pins an epoch-read point before consulting the cache;
-    if a mutation lands between the cache lookup and the kernel
-    dispatch, mixing cached (pre-mutation) rows with fresh
-    (post-mutation) rows would serve a batch that no single epoch ever
-    produced.  The engine must detect the moved point, flush, and
-    re-serve the whole batch at the new epoch.
-    """
-
-    def _mutating_once(self, hist, est, rect):
-        inner = est.estimate_batch
-        fired = {}
-
-        def estimate_batch(queries):
-            if "done" not in fired:
-                fired["done"] = True
-                hist.insert(rect)  # lands inside the serve window
-            return inner(queries)
-
-        return estimate_batch
-
-    def test_batch_retries_at_the_new_epoch(self, capture_counters):
-        hist, engine = _live_engine()
-        est = engine.inner
-        queries = range_queries(DATA, 0.1, 20, seed=3)
-        engine.estimate_batch(
-            RectSet(queries.coords[:10])
-        )  # cache holds pre-mutation answers for half the batch
-        cx, cy = DATA.mbr().center
-        rect = Rect.from_center(cx, cy, 1.0, 1.0)
-        est.estimate_batch = self._mutating_once(hist, est, rect)
-        values, counters = capture_counters(
-            lambda: engine.estimate_batch(queries)
-        )
-        assert counters.get("serving.epoch.midbatch_retries") == 1
-        assert counters.get("serving.cache.flushes", 0) >= 1
-        # the whole batch answers at the post-mutation epoch — no
-        # pre-mutation cached rows leak through
-        fresh = BatchServingEngine(
-            BucketEstimator(list(hist.buckets), name="fresh")
-        ).estimate_batch(queries)
-        np.testing.assert_array_equal(values, fresh)
-
-    def test_scalar_mid_serve_answer_is_not_cached(self):
-        hist, engine = _live_engine()
-        est = engine.inner
-        query = range_queries(DATA, 0.1, 1, seed=5)[0]
-        cx, cy = DATA.mbr().center
-        rect = Rect.from_center(cx, cy, 1.0, 1.0)
-        inner = est.estimate
-        fired = {}
-
-        def estimate(q):
-            if "done" not in fired:
-                fired["done"] = True
-                hist.insert(rect)
-            return inner(q)
-
-        est.estimate = estimate
-        first = engine.estimate(query)
-        # the post-mutation answer stayed out of the cache: the pinned
-        # epoch point moved between lookup and estimate
-        assert len(engine.cache) == 0
-        second = engine.estimate(query)
-        assert second == first
-        fresh = BatchServingEngine(
-            BucketEstimator(list(hist.buckets), name="fresh")
-        ).estimate(query)
-        assert first == fresh
 
 
 class TestFrontDoorWire:
@@ -517,9 +440,7 @@ class TestFrontDoorWire:
     def test_read_only_door_rejects_mutations(self):
         hist, _ = _live_engine()
         front = FrontDoorThread(
-            BatchServingEngine(
-                BucketEstimator(list(hist.buckets), name="ro"),
-            )
+            BucketEstimator(list(hist.buckets), name="ro")
         ).start()
         try:
             with pytest.raises(ReproError):

@@ -1,18 +1,14 @@
-"""Property tests for :class:`repro.serving.BucketIndex`.
+"""Property tests for :class:`repro.serving.index.BucketIndex`.
 
-The index contract: ``candidates(query)`` is *exactly* the set of
-buckets whose inflated box intersects the query, which makes it
+No estimator probes the index any more; it is kept, and tested here,
+only while the repository benchmark's tracer still imports it.  The
+index contract: ``candidates(query)`` is *exactly* the set of buckets
+whose inflated box intersects the query, which makes it
 
 * a superset of the buckets whose raw box intersects the query, and
 * a superset of the buckets contributing a non-zero term to the
   Section 3.1 estimate (the inflation folds the formula's query
-  extension onto the bucket side),
-
-so pruning can only drop exact zeros.  On degenerate inputs — point
-rectangles, full-space queries, all-empty buckets — the pruned
-estimate must equal the linear scan exactly; in general it may differ
-in the last ulp (different summation order over the surviving
-buckets), which the general-case test bounds tightly.
+  extension onto the bucket side).
 """
 
 import numpy as np
@@ -21,11 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bucket import Bucket
-from repro.estimators import BucketEstimator
 from repro.eval import build_estimator
 from repro.geometry import Rect, RectSet
-from repro.serving import BucketIndex
-from repro.workload import range_queries
+from repro.serving.index import BucketIndex
 
 
 def random_dataset(seed):
@@ -87,84 +81,11 @@ class TestCandidateSuperset:
         )
 
 
-class TestIndexedEstimatesMatchLinearScan:
-    def test_point_rect_data_exact(self):
-        # every bucket degenerate: contributions are whole counts, so
-        # pruned and unpruned sums are both exact in float arithmetic
-        gen = np.random.default_rng(3)
-        pts = gen.uniform(0, 100, (200, 2))
-        data = RectSet.from_centers(
-            pts[:, 0], pts[:, 1], np.zeros(200), np.zeros(200)
-        )
-        est = build_estimator("Grid", data, 16)
-        queries = range_queries(data, 0.1, 60, seed=4)
-        plain = np.array([est.estimate(q) for q in queries])
-        est.attach_index(BucketIndex(est.buckets))
-        indexed = np.array([est.estimate(q) for q in queries])
-        est.attach_index(None)
-        np.testing.assert_array_equal(indexed, plain)
-
-    def test_full_space_query_exact(self):
-        data = random_dataset(17)
-        est = build_estimator("Min-Skew", data, 12, n_regions=144)
-        index = BucketIndex(est.buckets)
-        mbr = data.mbr()
-        full = Rect(mbr.x1 - 100, mbr.y1 - 100,
-                    mbr.x2 + 100, mbr.y2 + 100)
-        # nothing can be pruned: candidate set is every bucket
-        assert index.candidates(full).tolist() == list(
-            range(len(est.buckets))
-        )
-        plain = est.estimate(full)
-        est.attach_index(index)
-        assert est.estimate(full) == plain
-        est.attach_index(None)
-
+class TestProbeStructures:
     def test_empty_bucket_list_rejected(self):
         with pytest.raises(ValueError):
             BucketIndex([])
 
-    def test_all_empty_buckets(self):
-        boxes = [Rect(10.0 * i, 0.0, 10.0 * i + 10.0, 10.0)
-                 for i in range(5)]
-        buckets = [Bucket(b, 0) for b in boxes]
-        est = BucketEstimator(buckets, name="empty")
-        est.attach_index(BucketIndex(buckets))
-        assert est.estimate(Rect(0.0, 0.0, 50.0, 10.0)) == 0.0
-        est.attach_index(None)
-
-    def test_miss_query_returns_zero(self):
-        data = random_dataset(23)
-        est = build_estimator("Grid", data, 9)
-        est.attach_index(BucketIndex(est.buckets))
-        far = Rect(1e7, 1e7, 1e7 + 1.0, 1e7 + 1.0)
-        assert est.estimate(far) == 0.0
-        est.attach_index(None)
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=15, deadline=None)
-    def test_general_case_bit_identical(self, seed):
-        """Pruned probing is *bit-identical* to the linear scan.
-
-        Regression: the pruned path used to reduce over the shorter
-        candidate vector, whose partial-sum grouping rounds the last
-        ulp differently from the full-width row — the scalar/indexed
-        path then disagreed with the batch kernel by one ulp, which
-        the front-door interleaving differential caught.  The probe
-        now scatters candidate terms into a full-width row before
-        reducing, so exact equality is the contract.
-        """
-        data = random_dataset(seed)
-        est = build_estimator("Min-Skew", data, 12, n_regions=144)
-        queries = range_queries(data, 0.07, 30, seed=seed + 1)
-        plain = np.array([est.estimate(q) for q in queries])
-        est.attach_index(BucketIndex(est.buckets))
-        indexed = np.array([est.estimate(q) for q in queries])
-        est.attach_index(None)
-        np.testing.assert_array_equal(indexed, plain)
-
-
-class TestProbeStructures:
     def test_rtree_fallback_for_fat_buckets(self):
         # buckets covering most of the space blow the per-bucket cell
         # budget of a fine grid -> R*-tree probe, same answers

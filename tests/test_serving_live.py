@@ -1,24 +1,21 @@
 """Stale-serving differential suite: epoch invalidation end-to-end.
 
-The serving engine's staleness contract: no matter what maintenance
+The live estimator's staleness contract: no matter what maintenance
 sequence (inserts, deletes, refreshes) runs against a live histogram —
-interleaved with serves that populate the cache and index — the
-engine's answers are bit-identical to a freshly constructed engine
-over the same buckets.  Every derived-state layer is covered: the
-``BucketArrays`` kernel snapshot, the ``BucketIndex``, and the
-``QueryCache``.  These are exactly the tests that fail when any of
-those snapshots is frozen at construction time.
+interleaved with serves on both query paths — a long-lived
+:class:`MaintainedEstimator` answers bit-identically to a freshly
+constructed :class:`BucketEstimator` over the same buckets.  The one
+derived-state layer is the ``BucketArrays`` kernel snapshot; these are
+exactly the tests that fail when it is frozen at construction time.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MaintainedHistogram, MinSkewPartitioner
 from repro.data import charminar
 from repro.estimators import BucketEstimator, MaintainedEstimator
-from repro.serving import BatchServingEngine
 from repro.workload import live_workload, range_queries
 
 DATA = charminar(800, seed=31)
@@ -31,12 +28,9 @@ def _hist(drift_threshold=0.9):
     )
 
 
-def _fresh_reference(hist, queries):
-    """What a from-scratch engine over the current buckets answers."""
-    engine = BatchServingEngine(
-        BucketEstimator(list(hist.buckets), name="fresh")
-    )
-    return engine.estimate_batch(queries)
+def _fresh(hist):
+    """A from-scratch estimator over the current buckets."""
+    return BucketEstimator(list(hist.buckets), name="fresh")
 
 
 class TestDifferentialProperty:
@@ -45,16 +39,16 @@ class TestDifferentialProperty:
     def test_engine_equals_fresh_after_random_maintenance(
         self, seed, n_ops
     ):
-        """Random insert/delete/refresh churn, with serves interleaved
-        so the cache and index go stale mid-stream, ends bit-identical
-        to a from-scratch engine."""
+        """Random insert/delete/refresh churn, with scalar and batch
+        serves interleaved so the kernel snapshot goes stale
+        mid-stream, ends bit-identical to a from-scratch estimator."""
         hist = _hist()
-        engine = BatchServingEngine(MaintainedEstimator(hist))
+        est = MaintainedEstimator(hist)
         queries = range_queries(DATA, 0.1, 25, seed=seed + 1)
         rng = np.random.default_rng(seed)
         for op in live_workload(DATA, 0.1, n_ops, seed=seed):
             if op.kind == "query":
-                engine.estimate(op.rect)
+                est.estimate(op.rect)
             elif op.kind == "insert":
                 hist.insert(op.rect)
             else:
@@ -62,59 +56,57 @@ class TestDifferentialProperty:
             if rng.random() < 0.05:
                 hist.refresh()
             if rng.random() < 0.2:
-                # populate the cache mid-churn: these answers must not
-                # survive the next mutation
-                engine.estimate_batch(queries)
+                # snapshot the kernel mid-churn: it must not survive
+                # the next mutation
+                est.estimate_batch(queries)
         np.testing.assert_array_equal(
-            engine.estimate_batch(queries),
-            _fresh_reference(hist, queries),
+            est.estimate_batch(queries),
+            _fresh(hist).estimate_batch(queries),
         )
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
     def test_scalar_path_equals_fresh_scalar_path(self, seed):
-        """The scalar (cache + index-pruned) path agrees with a fresh
-        engine's scalar path after maintenance."""
+        """The scalar path agrees with a fresh estimator's scalar path
+        after maintenance."""
         hist = _hist()
-        engine = BatchServingEngine(MaintainedEstimator(hist))
+        est = MaintainedEstimator(hist)
         queries = range_queries(DATA, 0.08, 15, seed=seed + 2)
         for q in queries:
-            engine.estimate(q)
+            est.estimate(q)
         for op in live_workload(DATA, 0.1, 20, seed=seed):
             if op.kind == "insert":
                 hist.insert(op.rect)
             elif op.kind == "delete":
                 hist.delete(op.rect)
-        fresh = BatchServingEngine(
-            BucketEstimator(list(hist.buckets), name="fresh")
-        )
-        assert [engine.estimate(q) for q in queries] == \
+        fresh = _fresh(hist)
+        assert [est.estimate(q) for q in queries] == \
             [fresh.estimate(q) for q in queries]
 
 
 class TestLayerInvalidation:
     def test_cached_answers_do_not_survive_an_insert(self):
+        """Answers from the kernel snapshot taken before an insert do
+        not survive it."""
         hist = _hist()
-        engine = BatchServingEngine(MaintainedEstimator(hist))
+        est = MaintainedEstimator(hist)
         queries = range_queries(DATA, 0.15, 30, seed=3)
-        before = engine.estimate_batch(queries)
-        assert engine.cache is not None and len(engine.cache) > 0
+        before = est.estimate_batch(queries)
         # an insert into a covered bucket changes that bucket's count
         mbr = DATA.mbr()
         cx, cy = mbr.center
         from repro.geometry import Rect
 
         hist.insert(Rect.from_center(cx, cy, 1.0, 1.0))
-        after = engine.estimate_batch(queries)
-        assert engine.cache.flushes >= 1
+        after = est.estimate_batch(queries)
         np.testing.assert_array_equal(
-            after, _fresh_reference(hist, queries)
+            after, _fresh(hist).estimate_batch(queries)
         )
         assert not np.array_equal(after, before)
 
     def test_kernel_snapshot_resyncs_without_engine(self):
-        """A bare MaintainedEstimator (no engine) also never serves a
-        stale BucketArrays snapshot."""
+        """A bare MaintainedEstimator never serves a stale
+        BucketArrays snapshot."""
         hist = _hist()
         est = MaintainedEstimator(hist)
         queries = range_queries(DATA, 0.15, 20, seed=5)
@@ -124,59 +116,29 @@ class TestLayerInvalidation:
                 hist.insert(op.rect)
             elif op.kind == "delete":
                 hist.delete(op.rect)
-        reference = BucketEstimator(
-            list(hist.buckets), name="fresh"
-        ).estimate_batch(queries)
+        reference = _fresh(hist).estimate_batch(queries)
         np.testing.assert_array_equal(
             est.estimate_batch(queries), reference
         )
         assert est.synced_epoch == hist.epoch
 
-    def test_index_is_rebuilt_and_stamped_with_new_epoch(self):
-        hist = _hist()
-        est = MaintainedEstimator(hist)
-        engine = BatchServingEngine(est)
-        assert est.index is not None and est.index.epoch == hist.epoch
-        hist.refresh()
-        # any serve revalidates: the index must be fresh afterwards
-        engine.estimate_batch(range_queries(DATA, 0.1, 5, seed=7))
-        assert est.index is not None
-        assert est.index.epoch == hist.epoch
-        assert est in engine.indexed
-
-    def test_sync_alone_drops_the_index(self):
-        """Without an engine to rebuild it, a stale index is dropped
-        rather than consulted — pruning with old boxes is the bug."""
-        hist = _hist()
-        est = MaintainedEstimator(hist)
-        BatchServingEngine(est)  # attaches an index
-        assert est.index is not None
-        hist.refresh()
-        assert est.sync() is True
-        assert est.index is None
-
     def test_epoch_counters_are_reported(self, capture_counters):
         hist = _hist()
-        engine = BatchServingEngine(MaintainedEstimator(hist))
+        est = MaintainedEstimator(hist)
         queries = range_queries(DATA, 0.1, 10, seed=9)
 
         def serve_refresh_serve():
-            engine.estimate_batch(queries)
+            est.estimate_batch(queries)
             hist.refresh()
-            engine.estimate_batch(queries)
+            est.estimate_batch(queries)
 
         _, counters = capture_counters(serve_refresh_serve)
-        assert counters.get("serving.epoch.stale") == 1
-        assert counters.get("serving.epoch.index_rebuilds") == 1
         assert counters.get("serving.epoch.estimator_rebuilds") == 1
-        assert counters.get("serving.cache.flushes") == 1
         assert counters.get("maintenance.refreshes") == 1
 
     def test_refresh_to_empty_serves_zero(self):
         """Deleting everything and refreshing leaves a bucketless
-        summary; the engine serves zeros instead of crashing."""
-        import numpy as np
-
+        summary; the estimator serves zeros instead of crashing."""
         from repro.geometry import Rect, RectSet
 
         data = RectSet(np.array([
@@ -187,12 +149,11 @@ class TestLayerInvalidation:
             MinSkewPartitioner(2, n_regions=16), data
         )
         est = MaintainedEstimator(hist)
-        engine = BatchServingEngine(est)
-        assert engine.estimate(Rect(0, 0, 10, 10)) > 0.0
+        assert est.estimate(Rect(0, 0, 10, 10)) > 0.0
         assert hist.delete(data[0]) and hist.delete(data[1])
         hist.refresh()
         assert hist.buckets == []
-        assert engine.estimate(Rect(0, 0, 10, 10)) == 0.0
+        assert est.estimate(Rect(0, 0, 10, 10)) == 0.0
 
 
 class TestScalarBatchAgreementLive:
@@ -265,7 +226,7 @@ class TestShardedLiveMaintenance:
                 router.insert(op.rect)
             else:
                 router.delete(op.rect)
-            # serve batches mid-stream so shard caches go stale
+            # serve batches mid-stream so shard snapshots go stale
             if op.kind != "query":
                 router.estimate_batch(queries)
         np.testing.assert_array_equal(

@@ -9,9 +9,9 @@ dispatches to a shard whose routing box misses every query, and the
 ``serving.shard.*`` fan-out counters match the intersection set
 computed independently here.
 
-The pickle regression rides along: a ``BatchServingEngine`` whose
-epoch bookkeeping was keyed by object id silently resurrected its
-stale cache after crossing a process (pickle) boundary.
+The pickle regression rides along: a live estimator pickled after a
+mutation but before its next sync must not carry its pre-mutation
+kernel snapshot across the process (pickle) boundary.
 """
 
 import pickle
@@ -26,7 +26,6 @@ from repro.data import charminar
 from repro.estimators import BucketEstimator, MaintainedEstimator
 from repro.geometry import Rect, RectSet
 from repro.serving import (
-    BatchServingEngine,
     ShardedHistogram,
     ShardPlan,
     ShardRouter,
@@ -149,9 +148,9 @@ class TestShardedDifferentialProperty:
     def test_router_equals_union_after_random_maintenance(
         self, seed, n_ops
     ):
-        """Interleaved mutations and serves leave stale caches and
-        indexes behind; the next batch must still equal the fresh
-        single-engine reference bit-for-bit."""
+        """Interleaved mutations and serves leave stale kernel
+        snapshots and routing boxes behind; the next batch must still
+        equal the fresh single-engine reference bit-for-bit."""
         sharded = _build()
         router = ShardRouter(sharded)
         queries = range_queries(DATA, 0.1, 15, seed=seed + 1)
@@ -343,7 +342,7 @@ class TestShardWorkerPool:
 class TestShardServesFromItsKernel:
     """A shard answers each dispatched sub-batch with one pass of its
     estimator's kernel: no query cache, no bucket index, and no
-    ``BatchServingEngine`` accounting on the sharded path."""
+    per-request engine accounting on the sharded path."""
 
     ENGINE_PREFIXES = ("serving.cache.", "serving.index.")
     ENGINE_COUNTERS = ("serving.epoch.index_rebuilds", "serving.requests")
@@ -395,62 +394,32 @@ class TestShardServesFromItsKernel:
         assert not np.array_equal(first, second)
 
 
-class TestEnginePickleRevalidation:
-    """The satellite fix: epoch bookkeeping must survive pickling."""
+class TestPickleRevalidation:
+    """Epoch bookkeeping must survive pickling: the kernel snapshot
+    crosses a process boundary together with the epoch it was built
+    from, so the first serve after unpickling re-syncs it."""
 
-    def _setup(self):
+    def test_unpickled_estimator_is_not_stale(self):
         data = charminar(500, seed=3)
         hist = MaintainedHistogram(
             MinSkewPartitioner(10, n_regions=144), data,
             drift_threshold=0.9,
         )
-        engine = BatchServingEngine(MaintainedEstimator(hist))
+        est = MaintainedEstimator(hist)
         queries = range_queries(data, 0.15, 20, seed=4)
-        return data, hist, engine, queries
-
-    def test_unpickled_engine_does_not_serve_stale_cache(self):
-        data, hist, engine, queries = self._setup()
-        stale = engine.estimate_batch(queries)  # cache populated
+        stale = est.estimate_batch(queries)  # snapshot built
         cx, cy = data.mbr().center
         for _ in range(5):
             hist.insert(Rect.from_center(cx, cy, 1.0, 1.0))
-        # pickle *after* the mutation, *before* any revalidating
-        # serve: exactly the worker-pool handoff window
-        clone = pickle.loads(pickle.dumps(engine))
-        fresh = BatchServingEngine(
-            BucketEstimator(list(hist.buckets), name="fresh")
+        # pickle *after* the mutation, *before* any sync: exactly the
+        # worker-pool handoff window
+        clone = pickle.loads(pickle.dumps(est))
+        fresh = BucketEstimator(
+            list(clone.histogram.buckets), name="fresh"
         ).estimate_batch(queries)
         got = clone.estimate_batch(queries)
         np.testing.assert_array_equal(got, fresh)
         assert not np.array_equal(got, stale)
-
-    def test_unpickled_engine_flushes_and_reindexes(
-        self, capture_counters
-    ):
-        _data, hist, engine, queries = self._setup()
-        engine.estimate_batch(queries)
-        hist.refresh()
-        clone = pickle.loads(pickle.dumps(engine))
-        _, counters = capture_counters(
-            lambda: clone.estimate_batch(queries)
-        )
-        assert counters.get("serving.epoch.stale") == 1
-        assert counters.get("serving.epoch.index_rebuilds") == 1
-        assert counters.get("serving.cache.flushes") == 1
-        assert clone.cache is not None and clone.cache.flushes == 1
-
-    def test_detach_indexes_works_after_unpickling(self):
-        _data, _hist, engine, queries = self._setup()
-        engine.estimate_batch(queries)
-        clone = pickle.loads(pickle.dumps(engine))
-        assert clone.indexed  # the index crossed the boundary
-        clone.detach_indexes()
-        assert clone.indexed == []
-        assert clone.auto_index is False
-        assert all(
-            est.index is None
-            for est, _ in clone._observed.values()
-        )
 
 
 class TestEmptyAndDegenerateShards:

@@ -5,8 +5,8 @@ invariants (bucket quota, exact count conservation, exactly one epoch
 bump per applied pass), the monotone in-sample error guarantee of the
 hill-climbing accept rule, and the differential gates: after a tuning
 pass every serving stack — direct, sharded, pooled, and the TCP front
-door — answers bit-identically to a freshly built engine over the
-tuned buckets.
+door — answers bit-identically to a freshly built estimator over
+the tuned buckets.
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ from repro.core.maintenance import MaintainedHistogram
 from repro.core.minskew import MinSkewPartitioner
 from repro.estimators import BucketEstimator, MaintainedEstimator
 from repro.geometry import Rect, RectSet
-from repro.serving import BatchServingEngine
 from repro.tuning import FeedbackCollector, FeedbackTuner
 from repro.workload import live_workload, range_queries
 
@@ -148,23 +147,21 @@ class TestTunerInvariants:
     @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
     def test_served_equals_fresh_rebuild(self, seed):
-        """After a pass, the long-lived engine answers bit-identically
-        to a fresh engine over the tuned buckets."""
+        """After a pass, the long-lived estimator answers
+        bit-identically to a fresh one over the tuned buckets."""
         data = random_dataset(seed)
         hist = build_hist(data)
-        engine = BatchServingEngine(
-            MaintainedEstimator(hist, name="tuned")
-        )
+        est = MaintainedEstimator(hist, name="tuned")
         check = range_queries(data, 0.2, 30, seed=seed + 2)
-        engine.estimate_batch(check)  # warm pre-tune snapshot
+        est.estimate_batch(check)  # warm pre-tune snapshot
 
         FeedbackTuner(hist).tune(
             range_queries(data, 0.15, 25, seed=seed + 1)
         )
 
-        served = engine.estimate_batch(check)
-        fresh = BatchServingEngine(
-            BucketEstimator(list(hist.buckets), name="tuned")
+        served = est.estimate_batch(check)
+        fresh = BucketEstimator(
+            list(hist.buckets), name="tuned"
         ).estimate_batch(check)
         assert np.array_equal(served, fresh)
 
@@ -203,13 +200,11 @@ class TestTunerInvariants:
         data = random_dataset(11, n_min=200, n_max=201)
         hist = build_hist(data)
         coll = FeedbackCollector()
-        engine = BatchServingEngine(
-            MaintainedEstimator(hist, name="tuned"), feedback=coll
-        )
+        est = MaintainedEstimator(hist, name="tuned")
         for op in live_workload(data, 0.1, 300, seed=13,
                                 drift=(0.06, 0.05)):
             if op.kind == "query":
-                engine.estimate(op.rect)
+                coll.observe(op.rect, est.estimate(op.rect))
             elif op.kind == "insert":
                 hist.insert(op.rect)
             else:
@@ -223,9 +218,9 @@ class TestTunerInvariants:
         check = range_queries(
             hist.current_data(), 0.2, 40, seed=14
         )
-        served = engine.estimate_batch(check)
-        fresh = BatchServingEngine(
-            BucketEstimator(list(hist.buckets), name="tuned")
+        served = est.estimate_batch(check)
+        fresh = BucketEstimator(
+            list(hist.buckets), name="tuned"
         ).estimate_batch(check)
         assert np.array_equal(served, fresh)
 
