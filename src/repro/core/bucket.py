@@ -176,6 +176,18 @@ class Bucket:
         return self.count * min(fraction, 1.0)
 
 
+#: The per-bucket columns of a :class:`BucketArrays`.
+_COLUMNS = (
+    "x1", "y1", "x2", "y2", "counts", "half_w", "half_h",
+    "safe_areas", "degenerate",
+)
+
+#: Query rows per kernel block.  Bounds peak memory at
+#: ``KERNEL_CHUNK_ROWS × B`` doubles per temporary; rows are evaluated
+#: independently, so block boundaries never change an answer.
+KERNEL_CHUNK_ROWS = 1024
+
+
 class BucketArrays:
     """Columnar view of a bucket list for the vectorised kernel.
 
@@ -189,10 +201,7 @@ class BucketArrays:
     The differential serving suite relies on that equivalence.
     """
 
-    __slots__ = (
-        "n", "x1", "y1", "x2", "y2", "counts", "half_w", "half_h",
-        "safe_areas", "degenerate", "any_degenerate",
-    )
+    __slots__ = ("n", "any_degenerate") + _COLUMNS
 
     def __init__(self, buckets: Sequence[Bucket]) -> None:
         self.n = len(buckets)
@@ -215,41 +224,83 @@ class BucketArrays:
         self.any_degenerate = bool(self.degenerate.any())
         self.safe_areas = np.where(areas > 0.0, areas, 1.0)
 
-    def estimate_block(self, qcoords: np.ndarray) -> np.ndarray:
-        """Per-query sum of bucket estimates for an ``(M, 4)`` block.
+    @classmethod
+    def concat(cls, parts: Sequence["BucketArrays"]) -> "BucketArrays":
+        """One kernel over several snapshots' buckets, in order.
 
-        One broadcast evaluation of the Section 3.1 range formula over
-        every (query, bucket) pair, reduced over buckets.
+        Every column is the concatenation of the parts' columns, so
+        each bucket keeps the exact values its own snapshot holds:
+        columns ``[lo, hi)`` of a :meth:`term_block` over the result
+        equal the term block of the part that occupies them.
         """
-        m = qcoords.shape[0]
-        if m == 0 or self.n == 0:
-            return np.zeros(m, dtype=np.float64)
-        qx1 = qcoords[:, 0][:, np.newaxis]
-        qy1 = qcoords[:, 1][:, np.newaxis]
-        qx2 = qcoords[:, 2][:, np.newaxis]
-        qy2 = qcoords[:, 3][:, np.newaxis]
+        if not parts:
+            return cls(())
+        out = cls.__new__(cls)
+        for name in _COLUMNS:
+            setattr(out, name, np.concatenate(
+                [getattr(part, name) for part in parts]
+            ))
+        out.n = sum(part.n for part in parts)
+        out.any_degenerate = bool(out.degenerate.any())
+        return out
 
+    def _fraction(
+        self,
+        qx1: np.ndarray,
+        qy1: np.ndarray,
+        qx2: np.ndarray,
+        qy2: np.ndarray,
+    ) -> np.ndarray:
+        """Covered fraction of each bucket box by each extended query
+        (the degenerate-box case is left to the callers)."""
         ex1 = np.maximum(self.x1, qx1 - self.half_w)
         ex2 = np.minimum(self.x2, qx2 + self.half_w)
         ey1 = np.maximum(self.y1, qy1 - self.half_h)
         ey2 = np.minimum(self.y2, qy2 + self.half_h)
-        overlap = (
-            np.clip(ex2 - ex1, 0.0, None) * np.clip(ey2 - ey1, 0.0, None)
-        )
-        fraction = np.minimum(overlap / self.safe_areas, 1.0)
-        estimates = (self.counts * fraction).astype(np.float64)
+        overlap = np.maximum(ex2 - ex1, 0.0) * np.maximum(ey2 - ey1, 0.0)
+        return np.minimum(overlap / self.safe_areas, 1.0)
 
+    def _touches(
+        self,
+        qx1: np.ndarray,
+        qy1: np.ndarray,
+        qx2: np.ndarray,
+        qy2: np.ndarray,
+    ) -> np.ndarray:
+        """Whether each query touches each (unextended) bucket box."""
+        return (
+            (self.x1 <= qx2) & (self.x2 >= qx1)
+            & (self.y1 <= qy2) & (self.y2 >= qy1)
+        )
+
+    def term_block(self, qcoords: np.ndarray) -> np.ndarray:
+        """``(M, B)`` block of per-bucket estimates.
+
+        One broadcast evaluation of the Section 3.1 range formula over
+        every (query, bucket) pair: entry ``(q, b)`` is bucket ``b``'s
+        expected number of members intersecting query ``q``.  Every
+        entry is evaluated independently of the others, so a column
+        range of the block is bit-identical to the block of a kernel
+        holding only those buckets (:meth:`concat`).
+        """
+        m = qcoords.shape[0]
+        if m == 0 or self.n == 0:
+            return np.zeros((m, self.n), dtype=np.float64)
+        qx1, qy1, qx2, qy2 = qcoords.T[:, :, np.newaxis]
+        terms = self.counts * self._fraction(qx1, qy1, qx2, qy2)
         if self.any_degenerate:
-            touches = (
-                (self.x1 <= qx2) & (self.x2 >= qx1)
-                & (self.y1 <= qy2) & (self.y2 >= qy1)
-            )
-            estimates = np.where(
+            touches = self._touches(qx1, qy1, qx2, qy2)
+            terms = np.where(
                 self.degenerate,
                 np.where(touches, self.counts, 0.0),
-                estimates,
+                terms,
             )
-        return estimates.sum(axis=1)
+        return terms
+
+    def estimate_block(self, qcoords: np.ndarray) -> np.ndarray:
+        """Per-query sum of bucket estimates for an ``(M, 4)`` block:
+        the row sums of :meth:`term_block`."""
+        return self.term_block(qcoords).sum(axis=1)
 
     def fraction_block(self, qcoords: np.ndarray) -> np.ndarray:
         """``(M, B)`` matrix of the Section 3.1 overlap fractions.
@@ -258,31 +309,17 @@ class BucketArrays:
         by query ``q`` after the average-extent extension — the factor
         the range formula multiplies the bucket count by.  A
         degenerate box contributes 1.0 when the query touches it,
-        matching :meth:`estimate_block`.  The feedback tuner uses this
+        matching :meth:`term_block`.  The feedback tuner uses this
         matrix to attribute per-query estimation error to buckets.
         """
         m = qcoords.shape[0]
         if m == 0 or self.n == 0:
             return np.zeros((m, self.n), dtype=np.float64)
-        qx1 = qcoords[:, 0][:, np.newaxis]
-        qy1 = qcoords[:, 1][:, np.newaxis]
-        qx2 = qcoords[:, 2][:, np.newaxis]
-        qy2 = qcoords[:, 3][:, np.newaxis]
-
-        ex1 = np.maximum(self.x1, qx1 - self.half_w)
-        ex2 = np.minimum(self.x2, qx2 + self.half_w)
-        ey1 = np.maximum(self.y1, qy1 - self.half_h)
-        ey2 = np.minimum(self.y2, qy2 + self.half_h)
-        overlap = (
-            np.clip(ex2 - ex1, 0.0, None) * np.clip(ey2 - ey1, 0.0, None)
-        )
-        fraction = np.minimum(overlap / self.safe_areas, 1.0)
+        qx1, qy1, qx2, qy2 = qcoords.T[:, :, np.newaxis]
+        fraction = self._fraction(qx1, qy1, qx2, qy2)
         areas = (self.x2 - self.x1) * (self.y2 - self.y1)
         if bool((areas <= 0.0).any()):
-            touches = (
-                (self.x1 <= qx2) & (self.x2 >= qx1)
-                & (self.y1 <= qy2) & (self.y2 >= qy1)
-            )
+            touches = self._touches(qx1, qy1, qx2, qy2)
             fraction = np.where(
                 areas <= 0.0,
                 np.where(touches, 1.0, 0.0),
@@ -295,7 +332,7 @@ def estimate_many(
     buckets: Sequence[Bucket],
     queries: RectSet,
     *,
-    chunk_size: int = 1024,
+    chunk_size: int = KERNEL_CHUNK_ROWS,
 ) -> np.ndarray:
     """Vectorised sum of per-bucket estimates for many queries.
 
@@ -312,7 +349,7 @@ def estimate_many_arrays(
     arrays: BucketArrays,
     queries: RectSet,
     *,
-    chunk_size: int = 1024,
+    chunk_size: int = KERNEL_CHUNK_ROWS,
 ) -> np.ndarray:
     """:func:`estimate_many` over precomputed :class:`BucketArrays`.
 

@@ -274,10 +274,10 @@ class MaintainedHistogram:
 
         The feedback tuner's single entry point into the epoch
         machinery: the new list becomes visible together with exactly
-        one epoch bump, so every derived consumer — the estimator
-        snapshot, the kernel arrays, the bucket index, the query
-        cache, the shard router — sees either the old or the new
-        summary, never a half-tuned mix.  Structural drift serviced
+        one epoch bump, so every derived consumer — the estimator's
+        kernel snapshot, the shard's routing box, the router's tier
+        kernel — sees either the old or the new summary, never a
+        half-tuned mix.  Structural drift serviced
         by the pass resets the modification counter; uncovered
         inserts survive (a tuning pass reshapes existing boxes, it
         does not extend coverage), so :attr:`needs_refresh` stays

@@ -65,19 +65,6 @@ class BucketEstimator(SelectivityEstimator):
     # ------------------------------------------------------------------
     # staleness hooks
     # ------------------------------------------------------------------
-    @property
-    def epoch(self) -> int:
-        """Version of the bucket summary this estimator serves.
-
-        A plain :class:`BucketEstimator` owns its bucket list, which
-        never changes after construction, so the epoch is a constant 0.
-        Live adapters (:class:`repro.estimators.maintained.\
-MaintainedEstimator`) override this with their source histogram's
-        monotonic epoch, and :meth:`sync` compares it against the
-        epoch the kernel snapshot was built from.
-        """
-        return 0
-
     def sync(self) -> bool:
         """Rebuild derived state if the source summary has moved.
 
@@ -88,6 +75,17 @@ MaintainedEstimator`) override this with their source histogram's
         mid-maintenance with nothing in front of it.
         """
         return False
+
+    def kernel(self) -> BucketArrays:
+        """The kernel snapshot of the current summary.
+
+        Re-snapshots first if the summary moved (:meth:`sync`), so a
+        caller that evaluates several estimators' buckets in one pass
+        (the sharded router) still rebuilds each snapshot only when
+        its own summary moves.
+        """
+        self.sync()
+        return self._arrays
 
     # ------------------------------------------------------------------
     # query paths

@@ -14,7 +14,7 @@ import numpy as np
 import numpy.typing as npt
 
 from ..counting import ExactCountOracle
-from ..geometry import Rect, RectSet
+from ..geometry import Rect, RectSet, validate_extent
 from .base import SelectivityEstimator
 from .sampling import WORDS_PER_SAMPLE
 
@@ -29,6 +29,9 @@ class ExactEstimator(SelectivityEstimator):
         self._oracle = ExactCountOracle(rects)
 
     def estimate(self, query: Rect) -> float:
+        validate_extent(
+            query.x1, query.y1, query.x2, query.y2, what="query"
+        )
         return float(self._rects.count_intersecting(query))
 
     def _estimate_batch(

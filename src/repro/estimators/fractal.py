@@ -29,7 +29,8 @@ from typing import Optional, Tuple
 import numpy as np
 import numpy.typing as npt
 
-from ..geometry import Rect, RectSet, require_nonempty
+from ..geometry import Rect, RectSet, require_nonempty, \
+    validate_extent
 from ..grid import DensityGrid
 from .base import SelectivityEstimator
 
@@ -130,6 +131,9 @@ class FractalEstimator(SelectivityEstimator):
         )
 
     def estimate(self, query: Rect) -> float:
+        validate_extent(
+            query.x1, query.y1, query.x2, query.y2, what="query"
+        )
         # A batch of one through the same numpy kernel as the batch
         # path: ``ratio ** d2`` must round identically on both paths
         # (C ``pow`` via Python and via a numpy array loop can differ

@@ -53,11 +53,6 @@ class MaintainedEstimator(BucketEstimator):
         return self._histogram
 
     @property
-    def epoch(self) -> int:
-        """The source histogram's epoch (moves under maintenance)."""
-        return self._histogram.epoch
-
-    @property
     def synced_epoch(self) -> int:
         """Epoch the current kernel snapshot was built from."""
         return self._synced_epoch

@@ -24,7 +24,8 @@ import numpy as np
 import numpy.typing as npt
 
 from ..counting import brute_force_counts
-from ..geometry import Rect, RectSet, require_nonempty
+from ..geometry import Rect, RectSet, require_nonempty, \
+    validate_extent
 from ..obs import OBS
 from .base import SelectivityEstimator
 
@@ -92,6 +93,9 @@ class SampleEstimator(SelectivityEstimator):
         self._scale = self.n_input / len(self.sample)
 
     def estimate(self, query: Rect) -> float:
+        validate_extent(
+            query.x1, query.y1, query.x2, query.y2, what="query"
+        )
         return self.sample.count_intersecting(query) * self._scale
 
     def _estimate_batch(

@@ -37,7 +37,6 @@ from .faults import (
 )
 from .guarded import (
     DEFAULT_CALL_BUDGET_STEPS,
-    LAST_RESORT_LINK,
     CircuitBreaker,
     FallbackLink,
     GuardedEstimator,
@@ -67,7 +66,6 @@ __all__ = [
     "GuardedEstimator",
     "build_fallback_chain",
     "DEFAULT_CALL_BUDGET_STEPS",
-    "LAST_RESORT_LINK",
     # chaos harness
     "ChaosConfig",
     "ChaosReport",

@@ -41,7 +41,7 @@ from ..estimators import (
     WORDS_PER_BUCKET,
     WORDS_PER_SAMPLE,
 )
-from ..geometry import Rect, RectSet
+from ..geometry import Rect, RectSet, validate_extent
 from ..obs import OBS
 from .clock import Deadline, StepClock
 from .faults import fire
@@ -53,18 +53,11 @@ __all__ = [
     "GuardedEstimator",
     "build_fallback_chain",
     "DEFAULT_CALL_BUDGET_STEPS",
-    "LAST_RESORT_LINK",
 ]
 
 #: Default per-call step budget: generous for a three-link chain (each
 #: link attempt costs one step; injected ``slow`` faults cost more).
 DEFAULT_CALL_BUDGET_STEPS = 50
-
-#: Pseudo link name reported by :attr:`GuardedEstimator.last_served`
-#: when a call was answered by the last-resort constant rather than
-#: any link.
-LAST_RESORT_LINK = "last-resort"
-
 
 class CircuitBreaker:
     """A minimal consecutive-failure circuit breaker on step time.
@@ -207,19 +200,6 @@ class GuardedEstimator(SelectivityEstimator):
         self.call_budget_steps = call_budget_steps
         self.retry = retry if retry is not None else RetryPolicy()
         self.last_resort = last_resort
-        #: Name of the link that answered the most recent call
-        #: (:data:`LAST_RESORT_LINK` for a last-resort answer, ``None``
-        #: before the first); :attr:`is_degraded` derives from it.
-        self.last_served: Optional[str] = None
-
-    @property
-    def is_degraded(self) -> bool:
-        """Whether the most recent call was served below full quality
-        (by any link other than the first, or by the last resort)."""
-        return (
-            self.last_served is not None
-            and self.last_served != self.links[0].name
-        )
 
     # ------------------------------------------------------------------
     def _attempt(
@@ -246,7 +226,14 @@ class GuardedEstimator(SelectivityEstimator):
         return float(value)
 
     def estimate(self, query: Rect) -> float:
-        """Estimate through the chain; finite for every valid query."""
+        """Estimate through the chain; finite for every valid query.
+
+        An invalid query raises :class:`~repro.errors.GeometryError`
+        before any link is tried, as on the batch path.
+        """
+        validate_extent(
+            query.x1, query.y1, query.x2, query.y2, what="query"
+        )
         OBS.add("resilience.queries")
         deadline = Deadline(self.clock, self.call_budget_steps)
         for position, link in enumerate(self.links):
@@ -267,7 +254,6 @@ class GuardedEstimator(SelectivityEstimator):
                 OBS.add(f"resilience.link_failures.{link.name}")
                 continue
             link.breaker.record_success()
-            self.last_served = link.name
             OBS.add(f"resilience.served.{link.name}")
             if position > 0:
                 OBS.add("resilience.degraded")
@@ -279,7 +265,6 @@ class GuardedEstimator(SelectivityEstimator):
                 hint="check fault rates / artifact integrity; the "
                      "chain has no healthy link left",
             )
-        self.last_served = LAST_RESORT_LINK
         return self.last_resort
 
     def _estimate_batch(
@@ -338,7 +323,6 @@ class GuardedEstimator(SelectivityEstimator):
                 OBS.add(f"resilience.link_failures.{link.name}")
                 continue
             link.breaker.record_success()
-            self.last_served = link.name
             OBS.add(f"resilience.served.{link.name}", len(queries))
             if position > 0:
                 OBS.add("resilience.degraded", len(queries))
@@ -350,7 +334,6 @@ class GuardedEstimator(SelectivityEstimator):
                 hint="check fault rates / artifact integrity; the "
                      "chain has no healthy link left",
             )
-        self.last_served = LAST_RESORT_LINK
         return np.full(
             len(queries), self.last_resort, dtype=np.float64
         )

@@ -18,8 +18,10 @@ Batches fire under a **dual trigger**:
   .StepClock` (``tick()``), so latency is bounded in deterministic
   step time, never wall-clock time;
 
-plus an explicit :meth:`flush` (the front door calls it when the event
-loop goes idle, and on close) that drains everything queued.
+plus an explicit :meth:`flush` that drains everything queued.  The
+front door ticks the clock once per idle pass of its event loop, so a
+partial batch fires after ``max_wait_steps`` idle passes; it calls
+:meth:`flush` only when it closes (``FrontDoor.aclose``).
 
 **Ordering.**  The queue is strictly FIFO and a mutation is a
 *barrier*: queries queued before it are dispatched before it applies,

@@ -4,23 +4,32 @@
 query batch it
 
 1. refreshes its view of every shard's epoch (counting per-shard
-   bumps — the observability hook the invalidation tests assert on);
-2. intersects the batch against each shard's *routing box* (the
-   inflated-bucket MBR, see :mod:`repro.serving.shard`), skipping
-   shards no query can touch;
-3. clips each sub-batch to the routing box and fans it out — inline
-   for ``workers <= 1``, over the long-lived deterministic
-   :class:`~repro.serving.parallel.ShardWorkerPool` otherwise — where
-   each shard answers it with one pass of its own kernel
-   (:meth:`~repro.serving.shard.HistogramShard.estimate_batch_coords`);
-4. scatters the partial estimates back, accumulating in shard-id
-   order, which keeps the answer bit-identical to the
-   :class:`~repro.serving.shard.ShardUnionEstimator` single-engine
-   reference.
+   bumps — the observability hook the invalidation tests assert on)
+   and, when one moved, what derives from the shards: their *routing
+   boxes* (the inflated-bucket MBRs, see :mod:`repro.serving.shard`)
+   and, when serving inline, the *tier kernel* — every shard's own
+   synced kernel snapshot, concatenated in shard order;
+2. intersects the batch with every routing box at once: the ``(M, K)``
+   hit mask names the shards the batch consults and counts the rows
+   routed to them;
+3. serves the consulted shards.  Inline (``workers <= 1`` and no shard
+   built ``guarded=True``) one pass of the tier kernel evaluates the
+   Section 3.1 term of every (query, bucket) pair of the tier, and a
+   healthy shard's partial is the row sum of its own column range over
+   the whole batch.  A pooled tier, or one with guarded shards, clips
+   each consulted shard's rows to its routing box and dispatches them
+   to the shard (:meth:`~repro.serving.shard.HistogramShard.\
+estimate_batch_coords`) — over the long-lived deterministic
+   :class:`~repro.serving.parallel.ShardWorkerPool`, or inline;
+4. adds the partials in shard order, which keeps the answer
+   bit-identical to the :class:`~repro.serving.shard.ShardUnionEstimator`
+   single-engine reference: the inline pass *is* that reference's
+   arithmetic, and on the dispatched path clipping and skipping are
+   exact identities (module docstring of :mod:`repro.serving.shard`).
 
-**Fault tolerance.**  Every fan-out runs under the supervision
-policy: the pool bounds each reply wait with a logical deadline (a
-dead or wedged worker surfaces as a typed
+**Fault tolerance.**  Every consulted shard is served under the
+supervision policy: the pool bounds each reply wait with a logical
+deadline (a dead or wedged worker surfaces as a typed
 :class:`~repro.errors.ShardWorkerError` and is respawned, replaying
 its write-ahead log); a failed shard dispatch is retried under the
 router's :class:`~repro.resilience.RetryPolicy` with deterministic
@@ -29,12 +38,13 @@ failures drive its :class:`~repro.serving.supervision.ShardHealth`
 quarantine state machine (healthy → suspect → quarantined →
 recovering).  A quarantined shard — or one that exhausted its retries
 — is served by its **degraded partial**: the shard's ``Uniform@s<id>``
-last resort over its routing box, computed parent-side.  The batch
+last resort over its clipped rows, computed parent-side.  The batch
 therefore always completes with a well-defined answer; the shards that
 were served degraded are annotated on
-:attr:`ShardRouter.degraded_shards` after every serve.  Each shard
-dispatch announces the ``serving.worker.s<id>`` fault site, so chaos
-plans can fail specific shards deterministically.
+:attr:`ShardRouter.degraded_shards` after every serve.  Each consulted
+shard announces the ``serving.worker.s<id>`` fault site, inline tier
+kernel included, so chaos plans can fail specific shards
+deterministically.
 
 Mutations route to the owning shard only; in pooled mode they are also
 forwarded to the worker holding that shard (the parent keeps an
@@ -43,22 +53,24 @@ the serving state — both replay the identical per-shard operation
 stream, so the two copies cannot diverge).
 
 Counters (``serving.shard.*``): ``requests``, ``queries``, ``fanout``
-(shard dispatches), ``subqueries`` (routed query rows), ``skipped``
-(shards not consulted), ``epoch_bumps`` plus per-shard
-``epoch_bumps.s<id>``, ``routed_mutations``, and the supervision set:
-``failures(.s<id>)``, ``retries``, ``degraded(.s<id>)``,
-``health_transitions`` — plus ``serving.pool.respawns`` from the
-worker pool underneath.
+(shards a batch's routing boxes hit — the shards consulted),
+``subqueries`` (rows those boxes hit, summed over the consulted
+shards), ``skipped`` (shards no row hits), ``epoch_bumps`` plus
+per-shard ``epoch_bumps.s<id>``, ``routed_mutations``, and the
+supervision set: ``failures(.s<id>)``, ``retries``,
+``degraded(.s<id>)``, ``health_transitions`` — plus
+``serving.pool.respawns`` from the worker pool underneath.
 """
 
 from __future__ import annotations
 
 from types import TracebackType
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 import numpy.typing as npt
 
+from ..core.bucket import KERNEL_CHUNK_ROWS, BucketArrays
 from ..errors import ReproError
 from ..estimators import SelectivityEstimator
 from ..geometry import Rect, RectSet, validate_coords_array, \
@@ -69,16 +81,22 @@ from ..resilience.faults import fire
 from ..tuning import TuningReport
 from .parallel import DEFAULT_POLL_INTERVAL, \
     DEFAULT_REPLY_BUDGET_STEPS, ShardWorkerPool
-from .shard import HistogramShard, ShardedHistogram
+from .shard import ShardedHistogram
 from .supervision import ShardHealth
 
 __all__ = ["ShardRouter"]
 
-#: One dispatch: the shard plus its method and per-shard arguments.
-_Call = Tuple[HistogramShard, str, Tuple[Any, ...]]
+#: Sends the given shard positions their requests; one reply per
+#: position, a ``ReproError`` standing for a failed dispatch.
+_Send = Callable[[List[int]], List[Any]]
 
-#: Placeholder for a dispatch that has produced no outcome yet.
-_UNSET = object()
+_INF = float("inf")
+
+
+def _in_tier_kernel(positions: List[int]) -> List[Any]:
+    """The inline tier's dispatch: the tier kernel already holds every
+    consulted shard's buckets, so there is nothing to send."""
+    return [None] * len(positions)
 
 
 class ShardRouter(SelectivityEstimator):
@@ -90,7 +108,9 @@ class ShardRouter(SelectivityEstimator):
         The shard tier to serve.  The router adopts its ``name`` so
         downstream error tables key identically.
     workers:
-        ``<= 1`` serves every shard inline in this process;
+        ``<= 1`` serves every shard inline in this process — in one
+        pass of the tier kernel unless a shard was built
+        ``guarded=True``, whose chain is then dispatched per shard;
         otherwise shards are pickled into a
         :class:`~repro.serving.parallel.ShardWorkerPool` of this many
         long-lived worker processes and sub-batches are fanned out.
@@ -123,126 +143,199 @@ class ShardRouter(SelectivityEstimator):
         self.sharded = sharded
         self.name = sharded.name
         self.workers = max(1, workers)
-        self._seen_epochs: Dict[int, int] = {
-            s.shard_id: s.epoch for s in sharded.shards
-        }
+        shards = sharded.shards
+        # per-shard state is kept by position in ``sharded.shards``
+        self._seen_epochs: List[int] = [s.epoch for s in shards]
+        self._sites: List[str] = [
+            f"serving.worker.s{s.shard_id}" for s in shards
+        ]
         self._clock = StepClock()
         self._retry = retry if retry is not None else RetryPolicy()
-        self._health: Dict[int, ShardHealth] = {
-            s.shard_id: ShardHealth(
+        self._health: List[ShardHealth] = [
+            ShardHealth(
                 s.shard_id, self._clock,
                 failure_threshold=failure_threshold,
                 reset_after_steps=reset_after_steps,
             )
-            for s in sharded.shards
-        }
+            for s in shards
+        ]
         #: Shard ids served degraded by the most recent serve — the
         #: explicit partial-result annotation of the batch contract.
         self.degraded_shards: Tuple[int, ...] = ()
         self._pool: Optional[ShardWorkerPool] = None
         if self.workers > 1:
             self._pool = ShardWorkerPool(
-                {s.shard_id: s for s in sharded.shards},
+                {s.shard_id: s for s in shards},
                 workers=self.workers,
                 recover=recover,
                 budget_steps=budget_steps,
                 poll_interval=poll_interval,
             )
+        # inline over unguarded shards, every batch is one pass of the
+        # tier kernel; guarded chains and pool workers are dispatched
+        self._fused = self._pool is None and not any(
+            s.guarded for s in shards
+        )
+        self._arrays = BucketArrays(())
+        self._columns: List[Tuple[int, int]] = []
+        self._lo = self._hi = np.empty((0, 4), dtype=np.float64)
+        self._refresh()
 
     # ------------------------------------------------------------------
     # epoch watching
     # ------------------------------------------------------------------
     def _revalidate(self) -> None:
-        """Observe per-shard epochs; refresh stale routing boxes."""
-        for shard in self.sharded.shards:
+        """Observe per-shard epochs; refresh what derives from them."""
+        moved = False
+        for k, shard in enumerate(self.sharded.shards):
             epoch = shard.epoch
-            if epoch != self._seen_epochs[shard.shard_id]:
-                self._seen_epochs[shard.shard_id] = epoch
+            if epoch != self._seen_epochs[k]:
+                self._seen_epochs[k] = epoch
+                moved = True
                 if OBS.enabled:
                     OBS.add("serving.shard.epoch_bumps")
                     OBS.add(
                         "serving.shard.epoch_bumps"
                         f".s{shard.shard_id}"
                     )
-            # recomputed lazily per epoch; calling it here keeps the
-            # scatter step allocation-free on the hot path
-            shard.routing_box()
+        if moved:
+            self._refresh()
+
+    def _refresh(self) -> None:
+        """Rebuild the routing boxes and, inline, the tier kernel.
+
+        Shard ``k``'s routing box is kept as two clip corners,
+        ``lo[k] = (x1, y1, -inf, -inf)`` and ``hi[k] = (inf, inf, x2,
+        y2)``, so ``min(max(row, lo[k]), hi[k])`` clips a query row in
+        two operations; a shard with no buckets gets corners no row
+        can hit.  The tier kernel concatenates every shard's own
+        kernel snapshot in shard order, read through
+        :meth:`~repro.estimators.BucketEstimator.kernel`, so a shard
+        re-snapshots only when its own epoch moved.
+        """
+        shards = self.sharded.shards
+        lo = np.full((len(shards), 4), -_INF, dtype=np.float64)
+        hi = np.full((len(shards), 4), _INF, dtype=np.float64)
+        kernels: List[BucketArrays] = []
+        columns: List[Tuple[int, int]] = []
+        start = 0
+        for k, shard in enumerate(shards):
+            box = shard.routing_box()
+            if box is None:
+                lo[k, :2] = _INF
+                hi[k, 2:] = -_INF
+            else:
+                lo[k, :2] = (box.x1, box.y1)
+                hi[k, 2:] = (box.x2, box.y2)
+            if self._fused:
+                est = shard.estimator
+                kernel = (
+                    est.kernel() if est is not None
+                    else BucketArrays(())
+                )
+                kernels.append(kernel)
+                columns.append((start, start + kernel.n))
+                start += kernel.n
+        self._lo, self._hi = lo, hi
+        if self._fused:
+            self._arrays = BucketArrays.concat(kernels)
+            self._columns = columns
+
+    def _hits(
+        self, coords: "npt.NDArray[np.float64]"
+    ) -> "npt.NDArray[np.bool_]":
+        """``(M, K)``: whether row ``m`` intersects shard ``k``'s
+        routing box."""
+        lo, hi = self._lo, self._hi
+        return (
+            (coords[:, 0:1] <= hi[:, 2])
+            & (coords[:, 2:3] >= lo[:, 0])
+            & (coords[:, 1:2] <= hi[:, 3])
+            & (coords[:, 3:4] >= lo[:, 1])
+        )
+
+    def _clip(
+        self, k: int, rows: "npt.NDArray[np.float64]"
+    ) -> "npt.NDArray[np.float64]":
+        """Query rows clipped to shard ``k``'s routing box."""
+        return np.minimum(np.maximum(rows, self._lo[k]), self._hi[k])
 
     # ------------------------------------------------------------------
     # supervision
     # ------------------------------------------------------------------
     def health(self) -> Dict[int, str]:
         """Current quarantine state of every shard."""
-        return {
-            sid: health.state
-            for sid, health in self._health.items()
-        }
+        return {health.shard_id: health.state for health in self._health}
 
-    def _inline_call(self, call: _Call) -> Any:
-        shard, method, args = call
-        try:
-            return getattr(shard, method)(*args)
-        except ReproError as exc:
-            return exc
+    def _sender(
+        self, method: str, args: Dict[int, Tuple[Any, ...]]
+    ) -> _Send:
+        """Dispatch ``method`` with each position's ``args`` to its
+        shard: over the worker pool, or inline."""
+        shards = self.sharded.shards
+
+        def send(positions: List[int]) -> List[Any]:
+            if self._pool is not None:
+                return self._pool.try_call_many([
+                    (shards[k].shard_id, method, args[k])
+                    for k in positions
+                ])
+            replies: List[Any] = []
+            for k in positions:
+                try:
+                    replies.append(getattr(shards[k], method)(*args[k]))
+                except ReproError as exc:
+                    replies.append(exc)
+            return replies
+
+        return send
 
     def _serve_supervised(
-        self, calls: List[_Call]
-    ) -> Tuple[List[Any], List[int]]:
-        """Serve every dispatch under retry + quarantine.
+        self, consulted: List[int], send: _Send
+    ) -> Tuple[Dict[int, Any], List[int]]:
+        """Serve every consulted shard under retry + quarantine.
 
-        Returns per-call outcomes (aligned to ``calls``) and the
-        positions that must be served degraded — quarantined shards
-        that were never dispatched, plus shards whose retries were
-        exhausted.  Healthy outcomes arrive in dispatch order, so the
-        bit-for-bit accumulation contract survives supervision.
+        ``consulted`` holds shard positions in shard order.  Returns
+        each dispatched position's reply and the positions that must
+        be served degraded — quarantined shards that were never
+        dispatched, plus shards whose retries were exhausted — and
+        records the latter on :attr:`degraded_shards`.
         """
-        outcomes: List[Any] = [_UNSET] * len(calls)
+        outcomes: Dict[int, Any] = {}
         degraded: List[int] = []
         pending: List[int] = []
-        for pos, (shard, _method, _args) in enumerate(calls):
-            if self._health[shard.shard_id].allow():
-                pending.append(pos)
+        for k in consulted:
+            if self._health[k].allow():
+                pending.append(k)
             else:
-                degraded.append(pos)
+                degraded.append(k)
         attempt = 1
         while pending:
             sendable: List[int] = []
-            requests: List[Tuple[int, str, Tuple[Any, ...]]] = []
-            for pos in pending:
-                shard, method, args = calls[pos]
+            for k in pending:
                 try:
-                    fire(f"serving.worker.s{shard.shard_id}")
+                    fire(self._sites[k])
                 except ReproError as exc:
-                    outcomes[pos] = exc
+                    outcomes[k] = exc
                     continue
-                sendable.append(pos)
-                requests.append((shard.shard_id, method, args))
-            if self._pool is not None:
-                replies = self._pool.try_call_many(requests)
-            else:
-                replies = [
-                    self._inline_call(calls[pos])
-                    for pos in sendable
-                ]
-            for pos, reply in zip(sendable, replies):
-                outcomes[pos] = reply
+                sendable.append(k)
+            outcomes.update(zip(sendable, send(sendable)))
             retry: List[int] = []
-            for pos in pending:
-                shard = calls[pos][0]
-                health = self._health[shard.shard_id]
-                outcome = outcomes[pos]
+            for k in pending:
+                health = self._health[k]
+                outcome = outcomes[k]
                 if isinstance(outcome, ReproError):
                     health.record_failure()
                     if OBS.enabled:
                         OBS.add("serving.shard.failures")
                         OBS.add(
                             "serving.shard.failures"
-                            f".s{shard.shard_id}"
+                            f".s{health.shard_id}"
                         )
                     if outcome.retryable \
                             and attempt < self._retry.max_attempts \
                             and health.allow():
-                        retry.append(pos)
+                        retry.append(k)
                 else:
                     health.record_success()
             if not retry:
@@ -252,15 +345,18 @@ class ShardRouter(SelectivityEstimator):
             self._clock.advance(self._retry.backoff_for(attempt))
             attempt += 1
             pending = retry
-        for pos, outcome in enumerate(outcomes):
-            if isinstance(outcome, ReproError):
-                degraded.append(pos)
-        return outcomes, sorted(set(degraded))
-
-    def _note_degraded(self, shard: HistogramShard) -> None:
+        degraded.extend(
+            k for k, outcome in outcomes.items()
+            if isinstance(outcome, ReproError)
+        )
+        degraded.sort()
+        ids = [self._health[k].shard_id for k in degraded]
+        self.degraded_shards = tuple(sorted(ids))
         if OBS.enabled:
-            OBS.add("serving.shard.degraded")
-            OBS.add(f"serving.shard.degraded.s{shard.shard_id}")
+            for sid in ids:
+                OBS.add("serving.shard.degraded")
+                OBS.add(f"serving.shard.degraded.s{sid}")
+        return outcomes, degraded
 
     # ------------------------------------------------------------------
     # serving
@@ -284,70 +380,89 @@ class ShardRouter(SelectivityEstimator):
         self, queries: RectSet
     ) -> "npt.NDArray[np.float64]":
         coords = queries.coords
-        result = np.zeros(len(queries), dtype=np.float64)
-        dispatch: List[Tuple[
-            HistogramShard,
-            "npt.NDArray[np.int64]",
-            "npt.NDArray[np.float64]",
-        ]] = []
-        skipped = 0
-        for shard in self.sharded.shards:
-            box = shard.routing_box()
-            if box is None:
-                skipped += 1
-                continue
-            mask = (
-                (coords[:, 0] <= box.x2)
-                & (coords[:, 2] >= box.x1)
-                & (coords[:, 1] <= box.y2)
-                & (coords[:, 3] >= box.y1)
-            )
-            idx = np.flatnonzero(mask).astype(np.int64)
-            if idx.size == 0:
-                skipped += 1
-                continue
-            sub = coords[idx]
-            clipped = np.empty_like(sub)
-            np.maximum(sub[:, 0], box.x1, out=clipped[:, 0])
-            np.maximum(sub[:, 1], box.y1, out=clipped[:, 1])
-            np.minimum(sub[:, 2], box.x2, out=clipped[:, 2])
-            np.minimum(sub[:, 3], box.y2, out=clipped[:, 3])
-            dispatch.append((shard, idx, clipped))
+        hits = self._hits(coords)
+        consulted: List[int] = np.flatnonzero(hits.any(axis=0)).tolist()
         if OBS.enabled:
-            OBS.add("serving.shard.fanout", len(dispatch))
-            OBS.add("serving.shard.skipped", skipped)
+            OBS.add("serving.shard.fanout", len(consulted))
             OBS.add(
-                "serving.shard.subqueries",
-                sum(int(idx.size) for _, idx, _ in dispatch),
+                "serving.shard.skipped",
+                len(self._sites) - len(consulted),
             )
-        calls: List[_Call] = [
-            (shard, "estimate_batch_coords", (clipped,))
-            for shard, _, clipped in dispatch
-        ]
-        partials, degraded_pos = self._serve_supervised(calls)
-        degraded_ids: List[int] = []
-        for pos in degraded_pos:
-            shard, _, clipped = dispatch[pos]
-            partials[pos] = self._degraded_batch_partial(
-                shard, clipped
+            OBS.add(
+                "serving.shard.subqueries", int(np.count_nonzero(hits))
             )
-            degraded_ids.append(shard.shard_id)
-            self._note_degraded(shard)
-        self.degraded_shards = tuple(sorted(degraded_ids))
-        # shard-id order: the accumulation order is part of the
+        if self._fused:
+            return self._serve_fused(coords, hits, consulted)
+        return self._serve_dispatched(coords, hits, consulted)
+
+    def _serve_fused(
+        self,
+        coords: "npt.NDArray[np.float64]",
+        hits: "npt.NDArray[np.bool_]",
+        consulted: List[int],
+    ) -> "npt.NDArray[np.float64]":
+        """One tier-kernel pass: every healthy consulted shard adds the
+        row sums of its column range, in shard order, for every row."""
+        _, degraded = self._serve_supervised(consulted, _in_tier_kernel)
+        m = coords.shape[0]
+        result = np.zeros(m, dtype=np.float64)
+        if not consulted:
+            return result
+        # a degraded partial spread over the whole batch: the +0.0 it
+        # adds to rows the shard's box misses is an exact identity
+        spread: Dict[int, "npt.NDArray[np.float64]"] = {}
+        for k in degraded:
+            idx = np.flatnonzero(hits[:, k])
+            spread[k] = np.zeros(m, dtype=np.float64)
+            spread[k][idx] = self._degraded_batch_partial(
+                k, self._clip(k, coords[idx])
+            )
+        for start in range(0, m, KERNEL_CHUNK_ROWS):
+            stop = start + KERNEL_CHUNK_ROWS
+            terms = self._arrays.term_block(coords[start:stop])
+            out = result[start:stop]
+            for k in consulted:
+                if k in spread:
+                    out += spread[k][start:stop]
+                else:
+                    lo, hi = self._columns[k]
+                    out += terms[:, lo:hi].sum(axis=1)
+        return result
+
+    def _serve_dispatched(
+        self,
+        coords: "npt.NDArray[np.float64]",
+        hits: "npt.NDArray[np.bool_]",
+        consulted: List[int],
+    ) -> "npt.NDArray[np.float64]":
+        """Clip each consulted shard's rows to its routing box and
+        dispatch them to the shard."""
+        rows: Dict[int, "npt.NDArray[np.int64]"] = {}
+        clipped: Dict[int, Tuple[Any, ...]] = {}
+        for k in consulted:
+            idx = np.flatnonzero(hits[:, k])
+            rows[k] = idx
+            clipped[k] = (self._clip(k, coords[idx]),)
+        partials, degraded = self._serve_supervised(
+            consulted, self._sender("estimate_batch_coords", clipped)
+        )
+        result = np.zeros(coords.shape[0], dtype=np.float64)
+        # shard order: the accumulation order is part of the
         # bit-for-bit contract with ShardUnionEstimator
-        for (_, idx, _), partial in zip(dispatch, partials):
-            result[idx] += partial
+        for k in consulted:
+            if k in degraded:
+                partial = self._degraded_batch_partial(k, clipped[k][0])
+            else:
+                partial = partials[k]
+            result[rows[k]] += partial
         return result
 
     def _degraded_batch_partial(
-        self,
-        shard: HistogramShard,
-        clipped: "npt.NDArray[np.float64]",
+        self, k: int, clipped: "npt.NDArray[np.float64]"
     ) -> "npt.NDArray[np.float64]":
-        """The shard's Uniform last resort over its sub-batch —
+        """Shard ``k``'s Uniform last resort over its clipped rows —
         computed parent-side, without dispatching to the shard."""
-        est = shard.degraded_estimator()
+        est = self.sharded.shards[k].degraded_estimator()
         if est is None:
             return np.zeros(clipped.shape[0], dtype=np.float64)
         sub = RectSet(clipped, copy=False, validate=False)
@@ -362,43 +477,37 @@ class ShardRouter(SelectivityEstimator):
         )
         self._clock.advance(1)
         self._revalidate()
-        clips: List[Tuple[
-            HistogramShard, Tuple[float, float, float, float]
-        ]] = []
-        skipped = 0
-        for shard in self.sharded.shards:
+        clips: Dict[int, Tuple[Any, ...]] = {}
+        for k, shard in enumerate(self.sharded.shards):
             box = shard.routing_box()
-            if box is None or not box.intersects(query):
-                skipped += 1
-                continue
-            clips.append((shard, (
-                max(query.x1, box.x1),
-                max(query.y1, box.y1),
-                min(query.x2, box.x2),
-                min(query.y2, box.y2),
-            )))
+            if box is not None and box.intersects(query):
+                clips[k] = (
+                    max(query.x1, box.x1),
+                    max(query.y1, box.y1),
+                    min(query.x2, box.x2),
+                    min(query.y2, box.y2),
+                )
+        consulted = list(clips)
         if OBS.enabled:
-            OBS.add("serving.shard.fanout", len(clips))
-            OBS.add("serving.shard.skipped", skipped)
-            OBS.add("serving.shard.subqueries", len(clips))
-        calls: List[_Call] = [
-            (shard, "estimate_one", clipped)
-            for shard, clipped in clips
-        ]
-        values, degraded_pos = self._serve_supervised(calls)
-        degraded_ids: List[int] = []
-        for pos in degraded_pos:
-            shard, clipped = clips[pos]
-            est = shard.degraded_estimator()
-            values[pos] = (
-                est.estimate(Rect(*clipped))
-                if est is not None else 0.0
+            OBS.add("serving.shard.fanout", len(consulted))
+            OBS.add(
+                "serving.shard.skipped",
+                len(self._sites) - len(consulted),
             )
-            degraded_ids.append(shard.shard_id)
-            self._note_degraded(shard)
-        self.degraded_shards = tuple(sorted(degraded_ids))
+            OBS.add("serving.shard.subqueries", len(consulted))
+        values, degraded = self._serve_supervised(
+            consulted, self._sender("estimate_one", clips)
+        )
         total = 0.0
-        for value in values:
+        for k in consulted:
+            if k in degraded:
+                est = self.sharded.shards[k].degraded_estimator()
+                value = (
+                    est.estimate(Rect(*clips[k]))
+                    if est is not None else 0.0
+                )
+            else:
+                value = values[k]
             total += float(value)
         return total
 

@@ -6,10 +6,12 @@ boxes and hosts one live summary — a
 :class:`~repro.estimators.MaintainedEstimator` kernel snapshot over it
 — per shard, each with an independent epoch.  A mutation routes to the
 *owning* shard only, so an insert re-snapshots one shard's kernel
-instead of the whole tier's.  A shard serves every dispatched
-sub-batch straight from that kernel — validation, ``sync()`` and one
-vectorised pass over a few dozen buckets — which costs less than any
-cache lookup or index probe put in front of it.
+instead of the whole tier's.  A shard serves every sub-batch
+dispatched to it (pool workers, guarded shards) straight from that
+kernel — validation, ``sync()`` and one vectorised pass over a few
+dozen buckets.  Served inline, the router reads the same snapshots
+(:meth:`~repro.estimators.BucketEstimator.kernel`) and evaluates the
+whole tier's buckets in one pass instead.
 
 **Min-Skew is the shard-boundary algorithm.**  :class:`ShardPlan` runs
 the paper's own partitioner with a bucket quota of ``K``: the top-level
@@ -23,8 +25,13 @@ buckets.
 **Exactness.**  The sharded tier is differentially gated against
 :class:`ShardUnionEstimator` — the single-engine reference that runs
 every shard's kernel over the *full* batch and accumulates the partial
-sums in shard order.  Equality is bit-for-bit, not approximate, because
-of three properties the router relies on:
+sums in shard order.  The inline router computes exactly that: one
+pass over the concatenated shard snapshots, then each shard's
+column-range row sums added in shard order (every entry of a term
+block is evaluated independently, so a column range equals the
+shard's own block).  Where the router dispatches per shard instead,
+equality is still bit-for-bit, not approximate, because of three
+properties it relies on:
 
 * per-shard partials are evaluated over the same bucket list in the
   same order whether the batch was clipped or not;
@@ -62,7 +69,7 @@ from ..estimators import (
     UniformEstimator,
     WORDS_PER_BUCKET,
 )
-from ..geometry import Rect, RectSet
+from ..geometry import Rect, RectSet, validate_extent
 from ..partitioners.base import Partitioner
 from ..resilience import (
     CircuitBreaker,
@@ -347,6 +354,11 @@ class HistogramShard:
         return self.chain if self.chain is not None else self.estimator
 
     # ------------------------------------------------------------------
+    @property
+    def guarded(self) -> bool:
+        """Whether the shard serves through its guarded chain."""
+        return self._guarded
+
     @property
     def epoch(self) -> int:
         """Monotonic shard version (histogram epoch + lazy creation)."""
@@ -803,6 +815,9 @@ class ShardUnionEstimator(SelectivityEstimator):
         return self._kernels
 
     def estimate(self, query: Rect) -> float:
+        validate_extent(
+            query.x1, query.y1, query.x2, query.y2, what="query"
+        )
         qrow = np.array(
             [[query.x1, query.y1, query.x2, query.y2]],
             dtype=np.float64,

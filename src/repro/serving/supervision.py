@@ -75,9 +75,13 @@ class ShardHealth:
 
     def allow(self) -> bool:
         """Whether the router may dispatch to the shard right now."""
-        return self.breaker.allow()
+        # no failures since the last success: the breaker is closed
+        return self._failures == 0 or self.breaker.allow()
 
     def record_success(self) -> None:
+        if self._failures == 0:
+            # already healthy with a closed breaker: nothing can change
+            return
         self._failures = 0
         self.breaker.record_success()
         self._note_transition()

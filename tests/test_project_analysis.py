@@ -950,6 +950,32 @@ class TestMutationSelfTest:
             "BucketEstimator._estimate_batch" in v.message for v in fired
         )
 
+    def test_removing_router_revalidate_fires_epoch001(self, tree_copy):
+        """The inline router reads its tier kernel (``self._arrays``)
+        on every batch; serving without the epoch refresh must flip
+        the pass."""
+        router = tree_copy / "serving" / "router.py"
+        source = router.read_text()
+        guarded = (
+            "            self._revalidate()\n"
+            "            return self._scatter_gather(queries)\n"
+        )
+        assert source.count(guarded) == 1, (
+            "ShardRouter.estimate_batch no longer matches the mutation "
+            "template; update this test alongside the router"
+        )
+        router.write_text(source.replace(
+            guarded, "            return self._scatter_gather(queries)\n"
+        ))
+        result = lint_project([tree_copy])
+        fired = [
+            v for v in result.violations if v.rule == "EPOCH001"
+        ]
+        assert fired, "\n".join(v.format() for v in result.violations)
+        assert any(
+            "ShardRouter.estimate_batch" in v.message for v in fired
+        )
+
     def test_removing_setstate_fires_pickle001(self, tree_copy):
         shard = tree_copy / "serving" / "shard.py"
         source = shard.read_text()

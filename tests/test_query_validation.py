@@ -22,6 +22,7 @@ from repro.eval import ALL_TECHNIQUES, build_estimator
 from repro.geometry import RectSet
 from repro.obs import OBS
 from repro.resilience import build_fallback_chain
+from repro.serving import ShardedHistogram
 from repro.workload import range_queries
 
 DATA = charminar(400, seed=7)
@@ -52,11 +53,32 @@ def _rectset(kind):
     return RectSet(HOSTILE[kind], validate=False)
 
 
-@pytest.fixture(scope="module", params=tuple(ALL_TECHNIQUES) + ("Exact",))
+#: Every estimator the validation tests hold to the same contract:
+#: each technique, the Exact oracle, and the sharded tier's union
+#: reference.
+ESTIMATORS = tuple(ALL_TECHNIQUES) + ("Exact", "Union")
+
+_BUILT = {}
+
+
+def _built(name):
+    if name not in _BUILT:
+        if name == "Exact":
+            _BUILT[name] = ExactEstimator(DATA)
+        elif name == "Union":
+            _BUILT[name] = ShardedHistogram.build(
+                DATA, n_shards=3, n_buckets=8, n_regions=100
+            ).union_estimator()
+        else:
+            _BUILT[name] = build_estimator(
+                name, DATA, 8, n_regions=100
+            )
+    return _BUILT[name]
+
+
+@pytest.fixture(scope="module", params=ESTIMATORS)
 def estimator(request):
-    if request.param == "Exact":
-        return ExactEstimator(DATA)
-    return build_estimator(request.param, DATA, 8, n_regions=100)
+    return _built(request.param)
 
 
 class TestEstimatorBatchValidation:
@@ -130,22 +152,30 @@ HOSTILE_SCALARS = {
 class TestScalarValidation:
     """The scalar path must reject exactly what the batch path
     rejects — before the query reaches the kernel, where a NaN or
-    inverted extent would yield a silent wrong answer."""
+    inverted extent would yield a silent wrong answer.  Each test
+    covers every estimator in :data:`ESTIMATORS`, naming the one that
+    let a hostile query through."""
 
     @pytest.mark.parametrize("kind", sorted(HOSTILE_SCALARS))
     def test_hostile_scalar_rejected(self, kind):
-        est = build_estimator("Min-Skew", DATA, 8, n_regions=100)
-        with pytest.raises(GeometryError):
-            est.estimate(_hostile_rect(*HOSTILE_SCALARS[kind]))
+        for name in ESTIMATORS:
+            with pytest.raises(GeometryError):
+                value = _built(name).estimate(
+                    _hostile_rect(*HOSTILE_SCALARS[kind])
+                )
+                pytest.fail(f"{name} answered {value!r}")
 
     @pytest.mark.parametrize("kind", sorted(HOSTILE_SCALARS))
     def test_scalar_and_batch_reject_alike(self, kind):
-        est = build_estimator("Grid", DATA, 8)
         coords = np.array([HOSTILE_SCALARS[kind]], dtype=np.float64)
-        with pytest.raises(GeometryError):
-            est.estimate_batch(RectSet(coords, validate=False))
-        with pytest.raises(GeometryError):
-            est.estimate(_hostile_rect(*HOSTILE_SCALARS[kind]))
+        for name in ESTIMATORS:
+            est = _built(name)
+            with pytest.raises(GeometryError):
+                est.estimate_batch(RectSet(coords, validate=False))
+                pytest.fail(f"{name} batch path let it through")
+            with pytest.raises(GeometryError):
+                est.estimate(_hostile_rect(*HOSTILE_SCALARS[kind]))
+                pytest.fail(f"{name} scalar path let it through")
 
     def test_valid_scalar_still_served(self):
         est = build_estimator("Grid", DATA, 8)
@@ -167,6 +197,21 @@ class TestGuardedChainValidation:
             counters = dict(OBS.snapshot()["counters"])
             OBS.reset()
         # validation failed fast: no link was ever consulted
+        assert not any(
+            key.startswith(("resilience.link_failures",
+                            "resilience.served"))
+            for key in counters
+        )
+
+    def test_hostile_scalar_rejected_before_entering_chain(self):
+        chain = build_fallback_chain(DATA, 8, n_regions=100)
+        with OBS.scope():
+            OBS.reset()
+            for kind in sorted(HOSTILE_SCALARS):
+                with pytest.raises(GeometryError):
+                    chain.estimate(_hostile_rect(*HOSTILE_SCALARS[kind]))
+            counters = dict(OBS.snapshot()["counters"])
+            OBS.reset()
         assert not any(
             key.startswith(("resilience.link_failures",
                             "resilience.served"))
