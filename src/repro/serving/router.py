@@ -12,20 +12,23 @@ query batch it
 2. intersects the batch with every routing box at once: the ``(M, K)``
    hit mask names the shards the batch consults and counts the rows
    routed to them;
-3. serves the consulted shards.  Inline (``workers <= 1`` and no shard
-   built ``guarded=True``) one pass of the tier kernel evaluates the
-   Section 3.1 term of every (query, bucket) pair of the tier, and a
-   healthy shard's partial is the row sum of its own column range over
-   the whole batch.  A pooled tier, or one with guarded shards, clips
-   each consulted shard's rows to its routing box and dispatches them
-   to the shard (:meth:`~repro.serving.shard.HistogramShard.\
-estimate_batch_coords`) — over the long-lived deterministic
-   :class:`~repro.serving.parallel.ShardWorkerPool`, or inline;
+3. serves the consulted shards.  Inline (no worker pool) one pass of
+   the tier kernel evaluates the Section 3.1 term of every (query,
+   bucket) pair of the tier, and a healthy shard's partial is the row
+   sum of its own column range over the whole batch.  A pooled tier
+   clips each consulted shard's rows to its routing box and dispatches
+   them over the long-lived deterministic
+   :class:`~repro.serving.parallel.ShardWorkerPool` to the worker
+   holding the shard (:meth:`~repro.serving.shard.HistogramShard.\
+estimate_batch_coords`);
 4. adds the partials in shard order, which keeps the answer
    bit-identical to the :class:`~repro.serving.shard.ShardUnionEstimator`
    single-engine reference: the inline pass *is* that reference's
    arithmetic, and on the dispatched path clipping and skipping are
    exact identities (module docstring of :mod:`repro.serving.shard`).
+
+A scalar :meth:`ShardRouter.estimate` is a one-row batch through the
+same four steps.
 
 **Fault tolerance.**  Every consulted shard is served under the
 supervision policy: the pool bounds each reply wait with a logical
@@ -52,8 +55,9 @@ authoritative copy for routing boxes and ownership, the worker holds
 the serving state — both replay the identical per-shard operation
 stream, so the two copies cannot diverge).
 
-Counters (``serving.shard.*``): ``requests``, ``queries``, ``fanout``
-(shards a batch's routing boxes hit — the shards consulted),
+Counters (``serving.shard.*``): ``requests`` (serves; a scalar query
+is a one-row serve), ``queries`` (rows served), ``fanout`` (shards a
+batch's routing boxes hit — the shards consulted),
 ``subqueries`` (rows those boxes hit, summed over the consulted
 shards), ``skipped`` (shards no row hits), ``epoch_bumps`` plus
 per-shard ``epoch_bumps.s<id>``, ``routed_mutations``, and the
@@ -73,8 +77,7 @@ import numpy.typing as npt
 from ..core.bucket import KERNEL_CHUNK_ROWS, BucketArrays
 from ..errors import ReproError
 from ..estimators import SelectivityEstimator
-from ..geometry import Rect, RectSet, validate_coords_array, \
-    validate_extent
+from ..geometry import Rect, RectSet, validate_coords_array
 from ..obs import OBS
 from ..resilience import RetryPolicy, StepClock
 from ..resilience.faults import fire
@@ -108,12 +111,12 @@ class ShardRouter(SelectivityEstimator):
         The shard tier to serve.  The router adopts its ``name`` so
         downstream error tables key identically.
     workers:
-        ``<= 1`` serves every shard inline in this process — in one
-        pass of the tier kernel unless a shard was built
-        ``guarded=True``, whose chain is then dispatched per shard;
-        otherwise shards are pickled into a
+        ``<= 1`` serves every shard inline in this process, in one
+        pass of the tier kernel; otherwise shards are pickled into a
         :class:`~repro.serving.parallel.ShardWorkerPool` of this many
         long-lived worker processes and sub-batches are fanned out.
+        A pooled router serves inline once :meth:`close` has shut its
+        pool down.
     recover:
         Shard id → fresh shard callable handed to the pool for worker
         respawns (:func:`repro.serving.wal.wal_recovery`); ``None``
@@ -171,11 +174,6 @@ class ShardRouter(SelectivityEstimator):
                 budget_steps=budget_steps,
                 poll_interval=poll_interval,
             )
-        # inline over unguarded shards, every batch is one pass of the
-        # tier kernel; guarded chains and pool workers are dispatched
-        self._fused = self._pool is None and not any(
-            s.guarded for s in shards
-        )
         self._arrays = BucketArrays(())
         self._columns: List[Tuple[int, int]] = []
         self._lo = self._hi = np.empty((0, 4), dtype=np.float64)
@@ -202,7 +200,8 @@ class ShardRouter(SelectivityEstimator):
             self._refresh()
 
     def _refresh(self) -> None:
-        """Rebuild the routing boxes and, inline, the tier kernel.
+        """Rebuild the routing boxes and, without a pool, the tier
+        kernel.
 
         Shard ``k``'s routing box is kept as two clip corners,
         ``lo[k] = (x1, y1, -inf, -inf)`` and ``hi[k] = (inf, inf, x2,
@@ -214,6 +213,7 @@ class ShardRouter(SelectivityEstimator):
         re-snapshots only when its own epoch moved.
         """
         shards = self.sharded.shards
+        inline = self._pool is None
         lo = np.full((len(shards), 4), -_INF, dtype=np.float64)
         hi = np.full((len(shards), 4), _INF, dtype=np.float64)
         kernels: List[BucketArrays] = []
@@ -227,7 +227,7 @@ class ShardRouter(SelectivityEstimator):
             else:
                 lo[k, :2] = (box.x1, box.y1)
                 hi[k, 2:] = (box.x2, box.y2)
-            if self._fused:
+            if inline:
                 est = shard.estimator
                 kernel = (
                     est.kernel() if est is not None
@@ -237,7 +237,7 @@ class ShardRouter(SelectivityEstimator):
                 columns.append((start, start + kernel.n))
                 start += kernel.n
         self._lo, self._hi = lo, hi
-        if self._fused:
+        if inline:
             self._arrays = BucketArrays.concat(kernels)
             self._columns = columns
 
@@ -266,29 +266,6 @@ class ShardRouter(SelectivityEstimator):
     def health(self) -> Dict[int, str]:
         """Current quarantine state of every shard."""
         return {health.shard_id: health.state for health in self._health}
-
-    def _sender(
-        self, method: str, args: Dict[int, Tuple[Any, ...]]
-    ) -> _Send:
-        """Dispatch ``method`` with each position's ``args`` to its
-        shard: over the worker pool, or inline."""
-        shards = self.sharded.shards
-
-        def send(positions: List[int]) -> List[Any]:
-            if self._pool is not None:
-                return self._pool.try_call_many([
-                    (shards[k].shard_id, method, args[k])
-                    for k in positions
-                ])
-            replies: List[Any] = []
-            for k in positions:
-                try:
-                    replies.append(getattr(shards[k], method)(*args[k]))
-                except ReproError as exc:
-                    replies.append(exc)
-            return replies
-
-        return send
 
     def _serve_supervised(
         self, consulted: List[int], send: _Send
@@ -391,9 +368,9 @@ class ShardRouter(SelectivityEstimator):
             OBS.add(
                 "serving.shard.subqueries", int(np.count_nonzero(hits))
             )
-        if self._fused:
+        if self._pool is None:
             return self._serve_fused(coords, hits, consulted)
-        return self._serve_dispatched(coords, hits, consulted)
+        return self._serve_dispatched(self._pool, coords, hits, consulted)
 
     def _serve_fused(
         self,
@@ -431,27 +408,35 @@ class ShardRouter(SelectivityEstimator):
 
     def _serve_dispatched(
         self,
+        pool: ShardWorkerPool,
         coords: "npt.NDArray[np.float64]",
         hits: "npt.NDArray[np.bool_]",
         consulted: List[int],
     ) -> "npt.NDArray[np.float64]":
         """Clip each consulted shard's rows to its routing box and
-        dispatch them to the shard."""
+        dispatch them to the worker holding the shard."""
+        shards = self.sharded.shards
         rows: Dict[int, "npt.NDArray[np.int64]"] = {}
-        clipped: Dict[int, Tuple[Any, ...]] = {}
+        clipped: Dict[int, "npt.NDArray[np.float64]"] = {}
         for k in consulted:
             idx = np.flatnonzero(hits[:, k])
             rows[k] = idx
-            clipped[k] = (self._clip(k, coords[idx]),)
-        partials, degraded = self._serve_supervised(
-            consulted, self._sender("estimate_batch_coords", clipped)
-        )
+            clipped[k] = self._clip(k, coords[idx])
+
+        def send(positions: List[int]) -> List[Any]:
+            return pool.try_call_many([
+                (shards[k].shard_id, "estimate_batch_coords",
+                 (clipped[k],))
+                for k in positions
+            ])
+
+        partials, degraded = self._serve_supervised(consulted, send)
         result = np.zeros(coords.shape[0], dtype=np.float64)
         # shard order: the accumulation order is part of the
         # bit-for-bit contract with ShardUnionEstimator
         for k in consulted:
             if k in degraded:
-                partial = self._degraded_batch_partial(k, clipped[k][0])
+                partial = self._degraded_batch_partial(k, clipped[k])
             else:
                 partial = partials[k]
             result[rows[k]] += partial
@@ -471,45 +456,12 @@ class ShardRouter(SelectivityEstimator):
         )
 
     def estimate(self, query: Rect) -> float:
-        """Scalar serve: per-shard kernel calls, shard-order sum."""
-        validate_extent(
-            query.x1, query.y1, query.x2, query.y2, what="query"
+        """Scalar serve: :meth:`estimate_batch` on a one-row batch."""
+        row = np.array(
+            [[query.x1, query.y1, query.x2, query.y2]], dtype=np.float64
         )
-        self._clock.advance(1)
-        self._revalidate()
-        clips: Dict[int, Tuple[Any, ...]] = {}
-        for k, shard in enumerate(self.sharded.shards):
-            box = shard.routing_box()
-            if box is not None and box.intersects(query):
-                clips[k] = (
-                    max(query.x1, box.x1),
-                    max(query.y1, box.y1),
-                    min(query.x2, box.x2),
-                    min(query.y2, box.y2),
-                )
-        consulted = list(clips)
-        if OBS.enabled:
-            OBS.add("serving.shard.fanout", len(consulted))
-            OBS.add(
-                "serving.shard.skipped",
-                len(self._sites) - len(consulted),
-            )
-            OBS.add("serving.shard.subqueries", len(consulted))
-        values, degraded = self._serve_supervised(
-            consulted, self._sender("estimate_one", clips)
-        )
-        total = 0.0
-        for k in consulted:
-            if k in degraded:
-                est = self.sharded.shards[k].degraded_estimator()
-                value = (
-                    est.estimate(Rect(*clips[k]))
-                    if est is not None else 0.0
-                )
-            else:
-                value = values[k]
-            total += float(value)
-        return total
+        queries = RectSet(row, copy=False, validate=False)
+        return float(self.estimate_batch(queries)[0])
 
     # ------------------------------------------------------------------
     # mutations
@@ -572,10 +524,12 @@ class ShardRouter(SelectivityEstimator):
         return self.sharded.size_words()
 
     def close(self) -> None:
-        """Shut the worker pool down (no-op when serving inline)."""
+        """Shut the worker pool down and serve inline from then on
+        (no-op when serving inline already)."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
+            self._refresh()
 
     def __enter__(self) -> "ShardRouter":
         return self

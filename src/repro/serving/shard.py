@@ -6,10 +6,10 @@ boxes and hosts one live summary — a
 :class:`~repro.estimators.MaintainedEstimator` kernel snapshot over it
 — per shard, each with an independent epoch.  A mutation routes to the
 *owning* shard only, so an insert re-snapshots one shard's kernel
-instead of the whole tier's.  A shard serves every sub-batch
-dispatched to it (pool workers, guarded shards) straight from that
-kernel — validation, ``sync()`` and one vectorised pass over a few
-dozen buckets.  Served inline, the router reads the same snapshots
+instead of the whole tier's.  A pool worker serves every sub-batch
+dispatched to its shard straight from that kernel — validation,
+``sync()`` and one vectorised pass over a few dozen buckets.  Served
+inline, the router reads the same snapshots
 (:meth:`~repro.estimators.BucketEstimator.kernel`) and evaluates the
 whole tier's buckets in one pass instead.
 
@@ -29,9 +29,9 @@ sums in shard order.  The inline router computes exactly that: one
 pass over the concatenated shard snapshots, then each shard's
 column-range row sums added in shard order (every entry of a term
 block is evaluated independently, so a column range equals the
-shard's own block).  Where the router dispatches per shard instead,
-equality is still bit-for-bit, not approximate, because of three
-properties it relies on:
+shard's own block).  Where the pooled router dispatches per shard
+instead, equality is still bit-for-bit, not approximate, because of
+three properties it relies on:
 
 * per-shard partials are evaluated over the same bucket list in the
   same order whether the batch was clipped or not;
@@ -71,12 +71,6 @@ from ..estimators import (
 )
 from ..geometry import Rect, RectSet, validate_extent
 from ..partitioners.base import Partitioner
-from ..resilience import (
-    CircuitBreaker,
-    FallbackLink,
-    GuardedEstimator,
-    StepClock,
-)
 from ..tuning import FeedbackTuner, TuningReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -245,52 +239,6 @@ def _inflated_mbr(buckets: Sequence[Bucket]) -> Optional[Rect]:
     return Rect(x1, y1, x2, y2)
 
 
-class _PrebuiltEstimator:
-    """A picklable zero-argument builder returning a fixed estimator.
-
-    Guarded-chain links take builder *callables*; lambdas cannot cross
-    a pool worker's pickle boundary, this class can.
-    """
-
-    __slots__ = ("estimator",)
-
-    def __init__(self, estimator: SelectivityEstimator) -> None:
-        self.estimator = estimator
-
-    def __call__(self) -> SelectivityEstimator:
-        return self.estimator
-
-
-def _shard_chain(
-    primary: MaintainedEstimator,
-    data: RectSet,
-    shard_id: int,
-) -> GuardedEstimator:
-    """Per-shard guarded chain: live histogram → Uniform snapshot.
-
-    Link names carry the shard id (``Min-Skew@s0``), so fault sites
-    (``estimator.<name>``) and resilience counters
-    (``resilience.link_failures.<name>``) are naturally scoped to one
-    shard — the property the sharded chaos suite asserts.
-    """
-    clock = StepClock()
-    links = [
-        FallbackLink(
-            f"{primary.name}@s{shard_id}",
-            _PrebuiltEstimator(primary),
-            CircuitBreaker(clock),
-        ),
-        FallbackLink(
-            f"Uniform@s{shard_id}",
-            _PrebuiltEstimator(UniformEstimator(data)),
-            CircuitBreaker(clock),
-        ),
-    ]
-    chain = GuardedEstimator(links, clock=clock)
-    chain.name = primary.name
-    return chain
-
-
 class HistogramShard:
     """One shard: plan box, live histogram, kernel snapshot, epoch.
 
@@ -310,18 +258,15 @@ class HistogramShard:
         *,
         drift_threshold: float = 0.2,
         auto_refresh: bool = True,
-        guarded: bool = False,
     ) -> None:
         self.shard_id = shard_id
         self.box = box
         self._partitioner = partitioner
         self._drift_threshold = drift_threshold
         self._auto_refresh = auto_refresh
-        self._guarded = guarded
         self._epoch_base = 0
         self.hist: Optional[MaintainedHistogram] = None
         self.estimator: Optional[MaintainedEstimator] = None
-        self.chain: Optional[GuardedEstimator] = None
         self._routing_epoch = -1
         self._routing_box: Optional[Rect] = None
         self._wal: Optional["ShardWAL"] = None
@@ -335,30 +280,11 @@ class HistogramShard:
             self._partitioner, data,
             drift_threshold=self._drift_threshold,
         )
-        self._build_stack(data)
-
-    def _build_stack(self, data: RectSet) -> None:
-        """Estimator (and guarded chain) around the current histogram."""
-        assert self.hist is not None
         self.estimator = MaintainedEstimator(
             self.hist, name=self._partitioner.name
         )
-        if self._guarded:
-            self.chain = _shard_chain(
-                self.estimator, data, self.shard_id
-            )
-
-    def _served(self) -> Optional[SelectivityEstimator]:
-        """What answers this shard's queries: the guarded chain when
-        there is one, else the estimator (``None`` before creation)."""
-        return self.chain if self.chain is not None else self.estimator
 
     # ------------------------------------------------------------------
-    @property
-    def guarded(self) -> bool:
-        """Whether the shard serves through its guarded chain."""
-        return self._guarded
-
     @property
     def epoch(self) -> int:
         """Monotonic shard version (histogram epoch + lazy creation)."""
@@ -386,26 +312,16 @@ class HistogramShard:
         return self._routing_box
 
     # ------------------------------------------------------------------
-    # serving (also the pool-worker entry points)
+    # serving (the pool-worker entry point)
     # ------------------------------------------------------------------
     def estimate_batch_coords(
         self, coords: "npt.NDArray[np.float64]"
     ) -> "npt.NDArray[np.float64]":
         """Serve an ``(M, 4)`` coordinate block in one kernel pass."""
-        served = self._served()
-        if served is None:
+        if self.estimator is None:
             return np.zeros(coords.shape[0], dtype=np.float64)
         queries = RectSet(coords, copy=False, validate=False)
-        return served.estimate_batch(queries)
-
-    def estimate_one(
-        self, x1: float, y1: float, x2: float, y2: float
-    ) -> float:
-        """Serve one (already clipped) query in one kernel pass."""
-        served = self._served()
-        if served is None:
-            return 0.0
-        return served.estimate(Rect(x1, y1, x2, y2))
+        return self.estimator.estimate_batch(queries)
 
     # ------------------------------------------------------------------
     # maintenance (also the pool-worker entry points)
@@ -535,13 +451,14 @@ class HistogramShard:
         if hist_state is None:
             self.hist = None
             self.estimator = None
-            self.chain = None
         else:
             self.hist = MaintainedHistogram.from_state(
                 self._partitioner, hist_state,
                 drift_threshold=self._drift_threshold,
             )
-            self._build_stack(self.hist.current_data())
+            self.estimator = MaintainedEstimator(
+                self.hist, name=self._partitioner.name
+            )
         self._routing_epoch = -1
         self._routing_box = None
         self._degraded_est = None
@@ -567,7 +484,6 @@ class HistogramShard:
             RectSet.empty(),
             drift_threshold=self._drift_threshold,
             auto_refresh=self._auto_refresh,
-            guarded=self._guarded,
         )
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -644,7 +560,6 @@ class ShardedHistogram:
         n_regions: int = 2_500,
         drift_threshold: float = 0.2,
         auto_refresh: bool = True,
-        guarded: bool = False,
     ) -> "ShardedHistogram":
         """Plan the shard boxes and build one live summary each.
 
@@ -686,7 +601,6 @@ class ShardedHistogram:
                     sub,
                     drift_threshold=drift_threshold,
                     auto_refresh=auto_refresh,
-                    guarded=guarded,
                 )
             )
         name = shards[0]._partitioner.name if shards else "Sharded"

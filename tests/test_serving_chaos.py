@@ -4,7 +4,10 @@ Serving a batch through the resilience chain keeps its degradation
 semantics: an injected fault in the Min-Skew path makes the *whole
 batch* fall through to the next healthy link, the resilience counters
 account for every query in the batch, and once the fault clears the
-chain answers exactly like one that never failed.
+chain answers exactly like one that never failed.  In the sharded
+tier the same holds per shard: a fault at one shard's router site
+degrades only that shard's partial, and the next clean serve is
+bit-identical to a router that never failed.
 """
 
 import numpy as np
@@ -166,15 +169,15 @@ class TestCacheUnderDegradation:
 
 
 class TestShardedChaos:
-    """Faults in one shard's estimator stay inside that shard.
+    """Faults in one shard stay inside that shard.
 
-    Every shard of a ``guarded=True`` sharded tier runs its own
-    fallback chain whose link names carry the shard id
-    (``Min-Skew@s0`` → ``Uniform@s0``), so fault sites and
-    ``resilience.*`` counters are naturally per-shard.  A fault
-    injected into shard 0's estimator degrades shard 0's *partial*
-    down its chain; every other shard's contribution is bit-identical
-    to a fault-free run.
+    The router announces one fault site per consulted shard
+    (``serving.worker.s<id>``) and keeps per-shard failure and
+    degraded counters.  A fault injected at shard 0's site degrades
+    shard 0's *partial* to its ``Uniform@s0`` last resort over its
+    clipped rows; every other shard's contribution is bit-identical to
+    a fault-free run, and so is the first serve after the fault
+    clears.
     """
 
     def _sharded(self, data):
@@ -182,34 +185,26 @@ class TestShardedChaos:
 
         return ShardedHistogram.build(
             data, n_shards=3, n_buckets=12, n_regions=256,
-            guarded=True,
         )
 
     def _faulted_serve(self, data, queries, capture):
-        """Serve through a router while shard 0's primary link fails
-        to build; ``capture`` is the ``capture_counters`` fixture;
-        returns (values, counters, router)."""
+        """Serve through a router while shard 0's site fails once;
+        ``capture`` is the ``capture_counters`` fixture; returns
+        (values, counters, router)."""
         from repro.serving import ShardRouter
 
-        sharded = self._sharded(data)
-        router = ShardRouter(sharded)
-        name = sharded.shards[0].estimator.name
-        plan = FaultPlan(
-            0,
-            (FaultSpec(f"estimator.build.{name}@s0",
-                       kind="corrupt"),),
-        )
-        clock = sharded.shards[0].chain.clock
+        router = ShardRouter(self._sharded(data))
+        plan = FaultPlan(0, (FaultSpec("serving.worker.s0", kind="fail"),))
 
         def serve():
-            with installed(FaultInjector(plan, clock=clock)):
+            with installed(FaultInjector(plan, clock=router._clock)):
                 return router.estimate_batch(queries)
 
         values, counters = capture(serve)
         return values, counters, router
 
     def _subbatch(self, sharded, queries, sid):
-        """(positions, clipped coords) shard ``sid`` receives — the
+        """(positions, clipped coords) of shard ``sid``'s rows — the
         same intersection/clip rule the router applies."""
         box = sharded.shards[sid].routing_box()
         coords = queries.coords
@@ -232,6 +227,7 @@ class TestShardedChaos:
     def test_fault_degrades_only_the_faulted_shards_partial(
         self, data, queries, capture_counters
     ):
+        from repro.estimators import BucketEstimator
         from repro.geometry import RectSet
         from repro.serving import ShardRouter
 
@@ -239,52 +235,35 @@ class TestShardedChaos:
             data, queries, capture_counters
         )
         sharded = router.sharded
-        name = sharded.shards[0].estimator.name
         idx0, clipped0 = self._subbatch(sharded, queries, 0)
-        n0 = len(idx0)
-        assert n0 > 0  # the fault was actually exercised
-        assert np.isfinite(values).all() and (values >= 0.0).all()
-        # the chain degraded exactly once, in shard 0's links only
-        assert counters.get(
-            f"resilience.link_failures.{name}@s0"
-        ) == 1
-        assert counters.get("resilience.served.Uniform@s0") == n0
-        assert counters.get("resilience.degraded") == n0
+        assert len(idx0) > 0  # the fault was actually exercised
+        assert router.degraded_shards == (0,)
+        # the router failed and degraded shard 0 once, no other shard
+        assert counters.get("serving.shard.failures.s0") == 1
+        assert counters.get("serving.shard.degraded.s0") == 1
         for sid in (1, 2):
-            assert (
-                f"resilience.link_failures.{name}@s{sid}"
-                not in counters
-            )
-            idx, _ = self._subbatch(sharded, queries, sid)
-            if len(idx):
-                assert counters.get(
-                    f"resilience.served.{name}@s{sid}"
-                ) == len(idx)
-        # shard 0's partial is exactly its Uniform link's answer
-        uniform = next(
-            link for link in sharded.shards[0].chain.links
-            if link.name == "Uniform@s0"
-        ).built_estimator
-        healthy = ShardRouter(self._sharded(data))
-        expected = healthy.estimate_batch(queries).copy()
-        kernel = np.zeros(len(queries), dtype=np.float64)
-        kernel[idx0] = sharded.shards[0].estimator.estimate_batch(
-            RectSet(clipped0, copy=False, validate=False)
-        )
-        uniform_part = np.zeros(len(queries), dtype=np.float64)
-        uniform_part[idx0] = uniform.estimate_batch(
-            RectSet(clipped0, copy=False, validate=False)
-        )
-        np.testing.assert_allclose(
-            values, expected - kernel + uniform_part, rtol=1e-12
-        )
+            assert f"serving.shard.failures.s{sid}" not in counters
+            assert f"serving.shard.degraded.s{sid}" not in counters
+        # shard 0's partial is exactly its Uniform last resort over
+        # its clipped rows, added in shard order
+        expected = np.zeros(len(queries), dtype=np.float64)
+        for shard in sharded.shards:
+            if shard.shard_id == 0:
+                expected[idx0] += shard.degraded_estimator().estimate_batch(
+                    RectSet(clipped0, copy=False, validate=False)
+                )
+            elif shard.buckets:
+                expected += BucketEstimator(
+                    shard.buckets
+                ).estimate_batch(queries)
+        np.testing.assert_array_equal(values, expected)
         # queries that never touch shard 0 are *bit-identical* to
         # the fault-free run: healthy shards did not notice
-        untouched = np.setdiff1d(
-            np.arange(len(queries)), idx0
-        )
+        healthy = ShardRouter(self._sharded(data))
+        reference = healthy.estimate_batch(queries)
+        untouched = np.setdiff1d(np.arange(len(queries)), idx0)
         np.testing.assert_array_equal(
-            values[untouched], expected[untouched]
+            values[untouched], reference[untouched]
         )
 
     def test_recovery_is_bit_identical_to_never_faulted(
@@ -295,9 +274,12 @@ class TestShardedChaos:
         first, _, router = self._faulted_serve(
             data, queries, capture_counters
         )
-        # injector gone, breaker still closed after one failure: the
-        # next serve rebuilds shard 0's primary link and recovers
+        # one failure leaves the shard suspect (threshold 3); the next
+        # serve without the plan succeeds and heals it
+        assert router.health()[0] == "suspect"
         second = router.estimate_batch(queries)
+        assert router.health()[0] == "healthy"
+        assert router.degraded_shards == ()
         healthy = ShardRouter(self._sharded(data))
         np.testing.assert_array_equal(
             second, healthy.estimate_batch(queries)

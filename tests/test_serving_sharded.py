@@ -3,14 +3,16 @@
 The sharded tier's contract is *exact*: for any shard count, query
 batch, and bucket layout, the router's answer equals the single-engine
 reference (:class:`ShardUnionEstimator` — every shard kernel over the
-full batch, partials accumulated in shard order) bit-for-bit.  The
-suite also pins the routing behaviour itself: where the router
-dispatches per shard (pooled tiers, guarded shards) it never sends a
-shard a row its routing box misses, and the ``serving.shard.*``
-fan-out counters match the intersection set computed independently
-here.  A Hypothesis differential holds the inline tier-kernel pass to
-the reference across shard counts, kernel-chunk boundaries, lazily
-created and emptied shards, tuning, and a quarantined shard.
+full batch, partials accumulated in shard order) bit-for-bit, and a
+scalar query is a one-row batch held to the same reference.  The
+suite also pins the routing behaviour itself: the inline tier-kernel
+pass never consults a shard no row hits, the pooled router never
+sends a shard a row its routing box misses, and the
+``serving.shard.*`` fan-out counters match the intersection set
+computed independently here.  A Hypothesis differential holds the
+inline tier-kernel pass to the reference across shard counts,
+kernel-chunk boundaries, lazily created and emptied shards, tuning,
+and a quarantined shard.
 
 The pickle regression rides along: a live estimator pickled after a
 mutation but before its next sync must not carry its pre-mutation
@@ -172,13 +174,15 @@ class TestShardedDifferentialProperty:
     @given(seed=st.integers(0, 5_000))
     @settings(max_examples=8, deadline=None)
     def test_scalar_path_is_exact_without_index(self, seed):
-        """The scalar path of the default tier is bit-exact against
-        the union reference."""
+        """The scalar path — a one-row batch — is bit-exact against
+        the union reference, inline and pooled."""
         sharded = _build(n_shards=3)
-        router = ShardRouter(sharded)
         union = sharded.union_estimator()
-        for q in range_queries(DATA, 0.08, 10, seed=seed):
-            assert router.estimate(q) == union.estimate(q)
+        queries = range_queries(DATA, 0.08, 10, seed=seed)
+        for workers in (1, 2):
+            with ShardRouter(sharded, workers=workers) as router:
+                for q in queries:
+                    assert router.estimate(q) == union.estimate(q)
 
 
 #: Batch sizes around the kernel's 1,024-row block boundary.
@@ -342,26 +346,47 @@ def _assert_rows_hit_their_shard(sharded, received):
 
 
 class TestRoutingBehaviour:
-    """Where the router still dispatches per shard — a guarded tier
-    served inline, and a pooled tier — it never sends a shard a row
-    that shard's routing box misses."""
+    """The router consults only the shards a batch's routing boxes
+    hit: inline, the tier-kernel pass never announces a missed shard's
+    fault site; pooled, it never sends a shard a row that shard's
+    routing box misses."""
 
     def test_router_never_queries_a_missed_shard(self):
-        """Guarded tier, inline: spied on the shard's dispatch entry
-        point."""
-        sharded = _build(guarded=True)
+        """Inline tier: a batch confined to shard 0's routing box is
+        served untouched while every shard it misses fails its site."""
+        from repro.resilience import (
+            FaultInjector,
+            FaultPlan,
+            FaultSpec,
+            installed,
+        )
+
+        sharded = _build()
+        box = sharded.shards[0].routing_box()
+        cx, cy = box.center
+        w, h = box.width * 1e-6, box.height * 1e-6
+        queries = RectSet(np.array([
+            Rect.from_center(cx + dx * w, cy + dy * h, w, h).as_tuple()
+            for dx in (-2, 0, 2) for dy in (-2, 0, 2)
+        ], dtype=np.float64))
+        hit, _ = _expected_dispatch(sharded, queries)
+        missed = [
+            s.shard_id for s in sharded.shards if s.shard_id not in hit
+        ]
+        assert 0 in hit and missed
         router = ShardRouter(sharded)
-        received = {}
-        for shard in sharded.shards:
-            original = shard.estimate_batch_coords
-
-            def spy(coords, _sid=shard.shard_id, _orig=original):
-                received.setdefault(_sid, []).append(coords)
-                return _orig(coords)
-
-            shard.estimate_batch_coords = spy
-        router.estimate_batch(range_queries(DATA, 0.05, 200, seed=21))
-        _assert_rows_hit_their_shard(sharded, received)
+        plan = FaultPlan(0, tuple(
+            FaultSpec(
+                f"serving.worker.s{sid}", kind="fail", probability=1.0
+            )
+            for sid in missed
+        ))
+        with installed(FaultInjector(plan, clock=router._clock)):
+            served = router.estimate_batch(queries)
+        assert router.degraded_shards == ()
+        np.testing.assert_array_equal(
+            served, sharded.union_estimator().estimate_batch(queries)
+        )
 
     def test_pooled_router_never_queries_a_missed_shard(
         self, monkeypatch
@@ -424,12 +449,17 @@ class TestRoutingBehaviour:
         queries = RectSet(np.array(
             [list(tiny.as_tuple())], dtype=np.float64
         ))
-        _, counters = capture_counters(
-            lambda: router.estimate_batch(queries)
-        )
-        assert counters.get("serving.shard.fanout") == 1
-        assert counters.get("serving.shard.skipped") \
-            == sharded.n_shards - 1
+        # the batch path, then the scalar path on the same one-row query
+        for serve in (
+            lambda: router.estimate_batch(queries),
+            lambda: router.estimate(tiny),
+        ):
+            _, counters = capture_counters(serve)
+            assert counters.get("serving.shard.requests") == 1
+            assert counters.get("serving.shard.queries") == 1
+            assert counters.get("serving.shard.fanout") == 1
+            assert counters.get("serving.shard.skipped") \
+                == sharded.n_shards - 1
 
     def test_mutation_bumps_only_owning_shard_epoch(
         self, capture_counters
@@ -512,6 +542,23 @@ class TestShardWorkerPool:
         # tier kernel itself), so only the routing counters can match
         assert routing(inline_counters)
         assert routing(inline_counters) == routing(pooled_counters)
+
+    def test_closed_pooled_router_serves_inline(self):
+        """Closing the pool leaves a router that keeps answering,
+        inline, exactly like the union reference."""
+        queries = range_queries(DATA, 0.05, 120, seed=35)
+        sharded = _build()
+        union = sharded.union_estimator()
+        reference = union.estimate_batch(queries)
+        router = ShardRouter(sharded, workers=2)
+        np.testing.assert_array_equal(
+            router.estimate_batch(queries), reference
+        )
+        router.close()
+        np.testing.assert_array_equal(
+            router.estimate_batch(queries), reference
+        )
+        assert router.estimate(queries[0]) == union.estimate(queries[0])
 
     def test_worker_failure_surfaces_as_typed_error(self):
         from repro.errors import ShardWorkerError
