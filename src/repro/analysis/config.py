@@ -131,8 +131,7 @@ class LintConfig:
         "bench", "build", "counting", "data", "equi_area", "equi_count",
         "estimate", "estimator", "eval", "grid", "lint", "maintenance",
         "minskew", "obs", "oracle", "partition", "progressive",
-        "resilience", "rtree", "serving", "storage", "tuning",
-        "workload",
+        "rtree", "serving", "storage", "tuning", "workload",
     })
     exclude_dir_names: Tuple[str, ...] = (
         "__pycache__", ".git", ".venv", "build", "dist",

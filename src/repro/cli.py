@@ -430,36 +430,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .resilience.chaos import ChaosConfig, format_report, run_chaos
-
-    if args.kill_shard_workers:
-        return _cmd_chaos_worker_kill(args)
-    options = {}
-    if args.budget is not None:
-        options["call_budget_steps"] = args.budget
-    config = ChaosConfig(
-        dataset=args.dataset,
-        n=args.n if args.n is not None else 2_000,
-        n_buckets=args.buckets,
-        n_regions=args.regions,
-        n_queries=args.queries,
-        qsize=args.qsize,
-        plan_seed=args.plan_seed,
-        fault_rate=args.fault_rate,
-        **options,
-    )
-    report_ = run_chaos(config)
-    if args.format == "json":
-        print(_json.dumps(report_.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(format_report(report_))
-    return 0 if report_.survival == 1.0 else 1
-
-
-def _cmd_chaos_worker_kill(args: argparse.Namespace) -> int:
-    """``chaos --kill-shard-workers``: SIGKILL workers mid-stream.
+    """``chaos``: SIGKILL sharded-tier workers mid-stream.
 
     Exit 0 iff every query batch survived AND the recovered tier is
     bit-identical to the union reference (answers and per-shard state
@@ -475,7 +446,7 @@ def _cmd_chaos_worker_kill(args: argparse.Namespace) -> int:
 
     config = WorkerKillConfig(
         dataset=args.dataset,
-        n=args.n if args.n is not None else 1_200,
+        n=args.n,
         n_shards=args.shards,
         n_buckets=args.buckets,
         n_regions=min(args.regions, 512),
@@ -798,41 +769,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "chaos",
-        help="run the workload under deterministic fault injection "
-             "and report survival",
+        help="SIGKILL sharded-tier worker processes mid-stream under "
+             "a seeded fault plan; assert 100%% request survival "
+             "plus bit-identical post-recovery answers",
     )
     p.add_argument("--dataset", default="charminar",
                    choices=dataset_names())
-    p.add_argument("--n", type=int, default=None,
-                   help="dataset size (default: 2000)")
+    p.add_argument("--n", type=int, default=1_200,
+                   help="dataset size (default: 1200)")
     p.add_argument("--buckets", type=int, default=40)
     p.add_argument("--regions", type=int, default=2_500)
     p.add_argument("--queries", type=int, default=300)
     p.add_argument("--qsize", type=float, default=0.05)
     p.add_argument("--fault-rate", type=float, default=0.2,
-                   help="per-call fault probability (default: 0.2)")
+                   help="per-worker kill probability between batches "
+                        "(default: 0.2)")
     p.add_argument("--plan-seed", type=int, default=7,
                    help="fault plan RNG seed (default: 7)")
-    p.add_argument("--budget", type=int, default=None,
-                   help="per-query step budget "
-                        "(default: the chain's standard budget)")
-    p.add_argument("--kill-shard-workers", action="store_true",
-                   help="SIGKILL sharded-tier worker processes "
-                        "mid-stream (per --fault-rate) and assert "
-                        "100%% request survival plus bit-identical "
-                        "post-recovery answers")
     p.add_argument("--shards", type=int, default=4,
-                   help="shard count for --kill-shard-workers "
-                        "(default: 4)")
+                   help="shard count (default: 4)")
     p.add_argument("--shard-workers", type=int, default=2,
-                   help="worker processes for --kill-shard-workers "
-                        "(default: 2)")
+                   help="worker processes (default: 2)")
     p.add_argument("--through-server", action="store_true",
-                   help="with --kill-shard-workers: serve every "
-                        "batch through the micro-batching front door "
-                        "over TCP, killing workers while client "
-                        "requests are in flight; a client hanging "
-                        "past its deadline fails the run")
+                   help="serve every batch through the micro-batching "
+                        "front door over TCP, killing workers while "
+                        "client requests are in flight; a client "
+                        "hanging past its deadline fails the run")
     p.add_argument("--format", default="text",
                    choices=("text", "json"))
     p.set_defaults(func=_cmd_chaos)

@@ -5,9 +5,9 @@ generated rectangles once and reload them, so all techniques see exactly
 the same input (and so full-scale datasets need not be regenerated per
 run).
 
-:func:`load_rects` is the guarded entry point the CLI and resilience
-layer use: it dispatches on the file suffix, announces the
-``data.load`` fault-injection site, and converts every failure mode —
+:func:`load_rects` is the guarded entry point the CLI uses: it
+dispatches on the file suffix, announces the ``data.load``
+fault-injection site, and converts every failure mode —
 missing file, unparseable content, invalid rectangles — into the typed
 :mod:`repro.errors` hierarchy with an actionable hint.
 """

@@ -5,10 +5,11 @@ artifact, a transient IO fault, an exhausted per-call budget, a
 degenerate query rectangle — is raised as a :class:`ReproError`
 subclass, so callers can tell recoverable degradation apart from
 programming bugs with one ``except ReproError`` clause, and the
-resilience layer (:mod:`repro.resilience`) can route each class to the
-right policy: retry what is :attr:`~ReproError.retryable`, fall back to
-a coarser estimator on the rest, and surface the remainder to the user
-as a one-line actionable message (:attr:`~ReproError.hint`).
+sharded serving tier (:mod:`repro.serving`) can route each class to the
+right policy: retry what is :attr:`~ReproError.retryable`, answer a
+failed shard's part of a query with its degraded partial, and surface
+the remainder to the user as a one-line actionable message
+(:attr:`~ReproError.hint`).
 
 Two design rules keep the hierarchy backward compatible:
 
@@ -29,8 +30,6 @@ __all__ = [
     "GeometryError",
     "EmptyInputError",
     "EstimationError",
-    "EstimatorFailedError",
-    "FallbackExhaustedError",
     "ShardWorkerError",
     "OverloadedError",
     "DeadlineError",
@@ -85,16 +84,6 @@ class EmptyInputError(ValidationError):
 # ----------------------------------------------------------------------
 class EstimationError(ReproError):
     """An estimator could not produce a usable estimate."""
-
-
-class EstimatorFailedError(EstimationError):
-    """One estimator in a fallback chain failed (poisoned summary,
-    non-finite result, injected fault); the chain degrades to the next
-    link."""
-
-
-class FallbackExhaustedError(EstimationError):
-    """Every link of a fallback chain failed for one query."""
 
 
 class ShardWorkerError(EstimationError):

@@ -2,7 +2,7 @@
 
 Every subsystem that accepts rectangles — the scalar :class:`Rect`
 constructor, the columnar :class:`RectSet` constructor, the estimators,
-and the guarded pipeline in :mod:`repro.resilience` — routes its input
+and the sharded router in :mod:`repro.serving` — routes its input
 checks through this module, so "what counts as a valid rectangle" is
 defined exactly once:
 

@@ -1,28 +1,27 @@
-"""Resilience layer: deterministic fault injection, guarded
-estimation with a fallback chain, budgets, retries, and breakers.
+"""Resilience layer: deterministic fault injection, logical budgets,
+retries, breakers, and the sharded tier's worker-kill experiment.
 
-The availability contract: a valid query always gets a finite
-estimate; partial failure costs accuracy, never availability — and
-every degradation is observable through :data:`repro.obs.OBS` under
-the ``resilience.*`` namespace.
+The fault handling that serves lives in the sharded tier
+(:mod:`repro.serving`): the router retries a failing shard per
+:class:`RetryPolicy`, quarantines it behind a :class:`CircuitBreaker`,
+and answers its part of a query with a ``Uniform@s<id>`` partial,
+while the worker pool respawns dead workers and replays their
+write-ahead logs.  This package supplies the deterministic pieces
+that machinery is built from, and :mod:`~repro.resilience.chaos`
+SIGKILLs workers under a seeded plan to prove nothing is lost.
 
 Import order note: :mod:`repro.storage.persist` imports
 :mod:`~repro.resilience.faults` for its fault-injection sites, so this
 package must not import :mod:`repro.storage` (or anything that does)
-at module level; :mod:`~repro.resilience.chaos` defers its dataset and
-workload imports for the same reason.
+at module level; :mod:`~repro.resilience.chaos` defers its serving,
+dataset and workload imports for the same reason.
 """
 
 from .chaos import (
-    ChaosConfig,
-    ChaosReport,
     WorkerKillConfig,
     WorkerKillReport,
     format_worker_kill_report,
     run_worker_kill_chaos,
-    default_plan,
-    format_report,
-    run_chaos,
 )
 from .clock import Deadline, StepClock
 from .faults import (
@@ -35,14 +34,7 @@ from .faults import (
     installed,
     sites_from_rates,
 )
-from .guarded import (
-    DEFAULT_CALL_BUDGET_STEPS,
-    CircuitBreaker,
-    FallbackLink,
-    GuardedEstimator,
-    build_fallback_chain,
-)
-from .retry import RetryPolicy, with_retry
+from .retry import CircuitBreaker, RetryPolicy
 
 __all__ = [
     # clock
@@ -57,21 +49,10 @@ __all__ = [
     "active_injector",
     "installed",
     "sites_from_rates",
-    # retry
+    # retry and breakers
     "RetryPolicy",
-    "with_retry",
-    # guarded pipeline
     "CircuitBreaker",
-    "FallbackLink",
-    "GuardedEstimator",
-    "build_fallback_chain",
-    "DEFAULT_CALL_BUDGET_STEPS",
-    # chaos harness
-    "ChaosConfig",
-    "ChaosReport",
-    "default_plan",
-    "run_chaos",
-    "format_report",
+    # worker-kill chaos experiment
     "WorkerKillConfig",
     "WorkerKillReport",
     "run_worker_kill_chaos",

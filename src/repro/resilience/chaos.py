@@ -1,16 +1,20 @@
-"""Chaos harness: run a workload under a fault plan, measure survival.
+"""Chaos harness: SIGKILL shard workers mid-stream, prove nothing is lost.
 
-``repro-spatial chaos`` builds the quick workload, arms a deterministic
-:class:`~repro.resilience.faults.FaultPlan`, drives every query through
-the guarded fallback chain, and reports what happened: how many queries
-survived (returned a finite estimate), which links served them, how
-many degradations and injections occurred.  The whole run is a
-reproducible experiment — the report embeds a SHA-256 digest of the
-estimate vector, so byte-determinism for a fixed seed is a testable
-claim, not a hope.
+``repro-spatial chaos`` builds a write-ahead-logged sharded tier behind
+a supervised :class:`~repro.serving.ShardRouter`, drives query batches
+and mutations through it, and between batches lets a deterministic
+:class:`~repro.resilience.faults.FaultPlan` pick worker processes to
+SIGKILL.  The report says how many batches survived (every value
+finite), how many workers were killed, respawned and replayed, what
+share of shard dispatches the router served with a degraded
+``Uniform@s<id>`` partial, and whether the recovered tier answers
+bit-identically to the single-engine union reference.  With
+``through_server`` the batches arrive as in-flight TCP clients of a
+front door.  The report embeds a SHA-256 digest of the recovered
+estimate vector.
 
-Heavyweight subsystem imports (datasets, workload generation) are
-deferred into :func:`run_chaos` so importing :mod:`repro.resilience`
+Serving, dataset and workload imports are deferred into
+:func:`run_worker_kill_chaos` so importing :mod:`repro.resilience`
 stays cheap and cycle-free.
 """
 
@@ -23,196 +27,14 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..obs import OBS
-from .clock import StepClock
 from .faults import FaultInjector, FaultPlan, FaultSpec, installed
-from .guarded import (
-    DEFAULT_CALL_BUDGET_STEPS,
-    GuardedEstimator,
-    build_fallback_chain,
-)
 
 __all__ = [
-    "ChaosConfig",
-    "ChaosReport",
-    "default_plan",
-    "run_chaos",
-    "format_report",
     "WorkerKillConfig",
     "WorkerKillReport",
     "run_worker_kill_chaos",
     "format_worker_kill_report",
 ]
-
-
-def default_plan(
-    seed: int, rate: float, *, slow_rate: float = 0.05
-) -> FaultPlan:
-    """The standard chaos mix at per-call probability ``rate``.
-
-    Histogram-build poisoning, transient IO on histogram and sample
-    reads, IO faults on the storage layer, and occasional slow calls
-    that eat step budget.
-    """
-    return FaultPlan(seed, (
-        FaultSpec("estimator.build.Min-Skew", kind="corrupt",
-                  probability=min(1.0, 2 * rate)),
-        FaultSpec("estimator.Min-Skew", kind="io", probability=rate),
-        FaultSpec("estimator.Sample", kind="io",
-                  probability=rate / 2),
-        FaultSpec("storage.read", kind="io", probability=rate),
-        FaultSpec("estimator.*", kind="slow", probability=slow_rate,
-                  slow_steps=5),
-    ))
-
-
-@dataclass(frozen=True)
-class ChaosConfig:
-    """One chaos experiment definition (fully seeded)."""
-
-    dataset: str = "charminar"
-    n: int = 2_000
-    n_buckets: int = 40
-    n_regions: int = 2_500
-    n_queries: int = 300
-    qsize: float = 0.05
-    query_seed: int = 42
-    plan_seed: int = 7
-    fault_rate: float = 0.2
-    call_budget_steps: Optional[int] = DEFAULT_CALL_BUDGET_STEPS
-    plan: Optional[FaultPlan] = None
-
-    def resolved_plan(self) -> FaultPlan:
-        if self.plan is not None:
-            return self.plan
-        return default_plan(self.plan_seed, self.fault_rate)
-
-
-@dataclass(frozen=True)
-class ChaosReport:
-    """What a chaos run observed."""
-
-    n_queries: int
-    finite_estimates: int
-    served: Dict[str, int]
-    degraded: int
-    last_resort: int
-    deadline_exceeded: int
-    breaker_open: int
-    retries: int
-    link_failures: Dict[str, int]
-    injected: Dict[str, int]
-    fired: Dict[str, int]
-    estimates_sha256: str
-    plan_seed: int
-    counters: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def survival(self) -> float:
-        """Fraction of queries that got a finite estimate."""
-        if self.n_queries == 0:
-            return 1.0
-        return self.finite_estimates / self.n_queries
-
-    @property
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "n_queries": self.n_queries,
-            "finite_estimates": self.finite_estimates,
-            "survival": self.survival,
-            "served": dict(self.served),
-            "degraded": self.degraded,
-            "last_resort": self.last_resort,
-            "deadline_exceeded": self.deadline_exceeded,
-            "breaker_open": self.breaker_open,
-            "retries": self.retries,
-            "link_failures": dict(self.link_failures),
-            "injected": dict(self.injected),
-            "fired": dict(self.fired),
-            "total_injected": self.total_injected,
-            "estimates_sha256": self.estimates_sha256,
-            "plan_seed": self.plan_seed,
-        }
-
-
-def _counter_group(
-    counters: Dict[str, float], prefix: str
-) -> Dict[str, int]:
-    return {
-        name[len(prefix):]: int(value)
-        for name, value in counters.items()
-        if name.startswith(prefix)
-    }
-
-
-def run_chaos(
-    config: ChaosConfig,
-    *,
-    chain: Optional[GuardedEstimator] = None,
-) -> ChaosReport:
-    """Run the chaos experiment and return its report.
-
-    The dataset and query workload are prepared *before* the injector
-    is armed — the unit under test is the estimation pipeline, not the
-    test's own setup.  Pass ``chain`` to test a custom chain (e.g. one
-    whose histogram round-trips through checksummed storage).
-    """
-    from ..data import make_dataset
-    from ..workload import range_queries
-
-    data = make_dataset(config.dataset, config.n)
-    queries = range_queries(
-        data, config.qsize, config.n_queries, seed=config.query_seed
-    )
-    clock = StepClock()
-    if chain is None:
-        chain = build_fallback_chain(
-            data,
-            config.n_buckets,
-            n_regions=config.n_regions,
-            clock=clock,
-            call_budget_steps=config.call_budget_steps,
-        )
-    injector = FaultInjector(config.resolved_plan(), clock=chain.clock)
-
-    estimates = np.empty(len(queries), dtype=np.float64)
-    with OBS.scope():
-        OBS.reset()
-        try:
-            with installed(injector):
-                for i, query in enumerate(queries):
-                    estimates[i] = chain.estimate(query)
-            counters: Dict[str, float] = dict(
-                OBS.snapshot()["counters"]
-            )
-        finally:
-            OBS.reset()
-
-    stats = injector.stats()
-    finite = int(np.isfinite(estimates).sum())
-    digest = hashlib.sha256(estimates.tobytes()).hexdigest()
-    return ChaosReport(
-        n_queries=len(queries),
-        finite_estimates=finite,
-        served=_counter_group(counters, "resilience.served."),
-        degraded=int(counters.get("resilience.degraded", 0)),
-        last_resort=int(counters.get("resilience.last_resort", 0)),
-        deadline_exceeded=int(
-            counters.get("resilience.deadline_exceeded", 0)
-        ),
-        breaker_open=int(counters.get("resilience.breaker_open", 0)),
-        retries=int(counters.get("resilience.retries", 0)),
-        link_failures=_counter_group(
-            counters, "resilience.link_failures."
-        ),
-        injected=stats["injected"],
-        fired=stats["fired"],
-        estimates_sha256=digest,
-        plan_seed=config.plan_seed,
-        counters=counters,
-    )
 
 
 @dataclass(frozen=True)
@@ -661,7 +483,7 @@ def _kill_planned_workers(pool: Any, *, kill: Any) -> int:
 def format_worker_kill_report(report: WorkerKillReport) -> str:
     """Human-readable worker-kill report for the CLI."""
     lines = [
-        f"# chaos --kill-shard-workers: {report.requests} batches, "
+        f"# chaos: {report.requests} batches, "
         f"{report.kills} workers killed, "
         f"survival {report.survival:.1%}",
     ]
@@ -686,28 +508,4 @@ def format_worker_kill_report(report: WorkerKillReport) -> str:
            if report.digests_match else "DIGEST MISMATCH"),
         f"estimates sha256  : {report.estimates_sha256}",
     ]
-    return "\n".join(lines)
-
-
-def format_report(report: ChaosReport) -> str:
-    """Human-readable chaos report for the CLI."""
-    lines = [
-        f"# chaos: {report.n_queries} queries, "
-        f"{report.total_injected} faults injected, "
-        f"survival {report.survival:.1%}",
-        f"finite estimates : {report.finite_estimates}"
-        f"/{report.n_queries}",
-        f"degraded queries : {report.degraded}"
-        f" (last resort: {report.last_resort}, "
-        f"deadline: {report.deadline_exceeded})",
-        f"retries          : {report.retries}"
-        f" (breaker skips: {report.breaker_open})",
-    ]
-    for name, count in sorted(report.served.items()):
-        lines.append(f"served by {name:9s}: {count}")
-    for name, count in sorted(report.link_failures.items()):
-        lines.append(f"failures  {name:9s}: {count}")
-    for site, count in sorted(report.injected.items()):
-        lines.append(f"injected  {site}: {count}")
-    lines.append(f"estimates sha256 : {report.estimates_sha256}")
     return "\n".join(lines)

@@ -2,10 +2,12 @@
 
 A :class:`FaultPlan` is a seed plus a tuple of :class:`FaultSpec`
 rules.  Installing it (:func:`installed`) arms the process-wide
-injector; instrumented call sites — storage IO, dataset loading, and
-every estimator call made through the guarded pipeline — announce
-themselves with :func:`fire(site) <fire>` and the injector decides,
-**deterministically**, whether that invocation fails.
+injector; instrumented call sites — storage IO (``storage.read`` /
+``storage.write``), dataset loading (``data.load``), each shard the
+sharded router consults (``serving.worker.s<id>``) and the chaos
+harness's per-worker kill decisions (``chaos.worker-kill.w<i>``) —
+announce themselves with :func:`fire(site) <fire>` and the injector
+decides, **deterministically**, whether that invocation fails.
 
 Determinism contract (the dynamic half of the DET001 lint): every
 decision comes from per-spec ``numpy.random.Generator`` streams seeded

@@ -1,24 +1,21 @@
-"""Bounded retry with deterministic backoff.
+"""Bounded retry with deterministic backoff, and a circuit breaker.
 
 Retries are reserved for errors that declare themselves
-:attr:`~repro.errors.ReproError.retryable` (transient IO).  Backoff is
-charged to the injectable :class:`~repro.resilience.clock.StepClock` —
-no real sleeping, no wall clock — so retried runs stay byte-identical
-and tests run at full speed.
+:attr:`~repro.errors.ReproError.retryable` (transient IO, a dead
+shard worker).  Backoff and breaker cooldowns are charged to the
+injectable :class:`~repro.resilience.clock.StepClock` — no real
+sleeping, no wall clock — so retried runs stay byte-identical and
+tests run at full speed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Optional
 
-from ..errors import ReproError
-from ..obs import OBS
 from .clock import StepClock
 
-__all__ = ["RetryPolicy", "with_retry"]
-
-T = TypeVar("T")
+__all__ = ["RetryPolicy", "CircuitBreaker"]
 
 
 @dataclass(frozen=True)
@@ -44,26 +41,54 @@ class RetryPolicy:
         return self.backoff_steps * self.backoff_factor ** (attempt - 1)
 
 
-def with_retry(
-    operation: Callable[[], T],
-    policy: RetryPolicy,
-    clock: StepClock,
-    *,
-    label: str = "operation",
-) -> T:
-    """Run ``operation``, retrying retryable :class:`ReproError`\\ s.
+class CircuitBreaker:
+    """A minimal consecutive-failure circuit breaker on step time.
 
-    Non-retryable errors propagate immediately; the last retryable
-    error propagates once ``policy.max_attempts`` is exhausted.  Every
-    retry is counted on ``resilience.retries``.
+    Closed until ``failure_threshold`` consecutive failures, then open
+    for ``reset_after_steps`` clock steps; the first trial after the
+    cooldown (half-open) closes it again on success or re-opens it on
+    failure.  ``failures`` is the consecutive-failure count.
     """
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            return operation()
-        except ReproError as exc:
-            if not exc.retryable or attempt >= policy.max_attempts:
-                raise
-            OBS.add("resilience.retries")
-            clock.advance(policy.backoff_for(attempt))
+
+    __slots__ = (
+        "_clock", "failure_threshold", "reset_after_steps",
+        "failures", "_opened_at",
+    )
+
+    def __init__(
+        self,
+        clock: StepClock,
+        *,
+        failure_threshold: int = 3,
+        reset_after_steps: int = 25,
+    ) -> None:
+        if failure_threshold < 1 or reset_after_steps < 0:
+            raise ValueError("invalid circuit-breaker parameters")
+        self._clock = clock
+        self.failure_threshold = failure_threshold
+        self.reset_after_steps = reset_after_steps
+        self.failures = 0
+        self._opened_at: Optional[int] = None
+
+    @property
+    def state(self) -> str:
+        """``"closed"``, ``"open"``, or ``"half-open"``."""
+        if self._opened_at is None:
+            return "closed"
+        if self._clock.now() - self._opened_at \
+                >= self.reset_after_steps:
+            return "half-open"
+        return "open"
+
+    def allow(self) -> bool:
+        """Whether a call may be attempted right now."""
+        return self.state != "open"
+
+    def record_success(self) -> None:
+        self.failures = 0
+        self._opened_at = None
+
+    def record_failure(self) -> None:
+        self.failures += 1
+        if self.failures >= self.failure_threshold:
+            self._opened_at = self._clock.now()

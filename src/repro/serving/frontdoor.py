@@ -287,8 +287,10 @@ class FrontDoor:
     ) -> "npt.NDArray[np.float64]":
         # the previous batch's answers leave before this one computes
         self._flush()
-        # rows were validated individually at admission, so the batch
-        # skips re-validation; bit-identity with a direct backend call
+        # rows were validated individually at admission, so a bad row
+        # fails alone and the RectSet skips its constructor check; the
+        # backend's estimate_batch still validates the block for its
+        # library callers.  Bit-identity with a direct backend call
         # holds because the kernels evaluate rows independently
         rects = RectSet(coords, copy=False, validate=False)
         values = np.asarray(
@@ -696,8 +698,8 @@ class FrontDoorThread:
     :meth:`start` returns — callers interact only through blocking
     wrappers that post work onto the loop, so mutation ordering and
     batch dispatch stay single-threaded.  Used by the chaos harness
-    (`chaos --kill-shard-workers --through-server`) and by tests that
-    need a real server without an async test framework.
+    (`chaos --through-server`) and by tests that need a real server
+    without an async test framework.
     """
 
     def __init__(

@@ -44,7 +44,7 @@ HEALTH_STATES = (
 class ShardHealth:
     """Quarantine state machine for one shard."""
 
-    __slots__ = ("shard_id", "breaker", "_failures", "_last_state")
+    __slots__ = ("shard_id", "breaker", "_last_state")
 
     def __init__(
         self,
@@ -60,7 +60,6 @@ class ShardHealth:
             failure_threshold=failure_threshold,
             reset_after_steps=reset_after_steps,
         )
-        self._failures = 0
         self._last_state = "healthy"
 
     @property
@@ -71,23 +70,21 @@ class ShardHealth:
             return "quarantined"
         if breaker == "half-open":
             return "recovering"
-        return "suspect" if self._failures > 0 else "healthy"
+        return "suspect" if self.breaker.failures > 0 else "healthy"
 
     def allow(self) -> bool:
         """Whether the router may dispatch to the shard right now."""
         # no failures since the last success: the breaker is closed
-        return self._failures == 0 or self.breaker.allow()
+        return self.breaker.failures == 0 or self.breaker.allow()
 
     def record_success(self) -> None:
-        if self._failures == 0:
+        if self.breaker.failures == 0:
             # already healthy with a closed breaker: nothing can change
             return
-        self._failures = 0
         self.breaker.record_success()
         self._note_transition()
 
     def record_failure(self) -> None:
-        self._failures += 1
         self.breaker.record_failure()
         self._note_transition()
 
@@ -104,5 +101,5 @@ class ShardHealth:
     def __repr__(self) -> str:
         return (
             f"ShardHealth(s{self.shard_id}, {self.state}, "
-            f"failures={self._failures})"
+            f"failures={self.breaker.failures})"
         )

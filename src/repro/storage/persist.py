@@ -14,8 +14,7 @@ through two guarantees here:
   canonical payload encoding.  :func:`read_artifact` refuses to return
   data that fails any of those checks, raising
   :class:`~repro.errors.ArtifactCorruptError` — a poisoned summary is
-  detected at the storage boundary, where the fallback chain can turn
-  it into degraded accuracy instead of a crash.
+  detected at the storage boundary as a typed error, never served.
 
 All reads and writes announce the ``storage.read`` / ``storage.write``
 fault-injection sites, so chaos runs exercise exactly these paths.

@@ -19,7 +19,6 @@ from repro.estimators import (
 )
 from repro.eval import ALL_TECHNIQUES, build_estimator
 from repro.geometry import Rect, RectSet
-from repro.resilience import build_fallback_chain
 
 #: Shared input distribution for estimator construction.
 DATA = uniform_rects(400, seed=17)
@@ -29,7 +28,6 @@ ESTIMATORS = [
     build_estimator(t, DATA, 8, n_regions=256, rtree_method="str")
     for t in ALL_TECHNIQUES
 ]
-ESTIMATORS.append(build_fallback_chain(DATA, 8, n_regions=256))
 
 finite_coord = st.floats(
     min_value=-1e9, max_value=1e9,

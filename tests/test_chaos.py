@@ -1,5 +1,8 @@
-"""Chaos and crash-safety: the availability contract under injected
-faults, and bit-identical resume after a SIGKILL mid-benchmark."""
+"""Crash safety: bit-identical resume after a SIGKILL mid-benchmark.
+
+The worker-kill experiment behind ``repro-spatial chaos`` is covered
+in ``tests/test_serving_chaos.py``.
+"""
 
 import os
 import signal
@@ -8,59 +11,8 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
-from repro.resilience import ChaosConfig, run_chaos
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
-
-#: Small but non-trivial chaos workload: finishes in a few seconds,
-#: injects dozens of faults at the issue's 20% floor.
-CHAOS_CONFIG = ChaosConfig(
-    n=1_200, n_buckets=20, n_regions=900, n_queries=150,
-    fault_rate=0.2,
-)
-
-
-class TestChaosSurvival:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return run_chaos(CHAOS_CONFIG)
-
-    def test_full_availability_under_faults(self, report):
-        """>=20% fault injection, yet every query answers finitely."""
-        assert report.survival == 1.0
-        assert report.finite_estimates == report.n_queries
-        assert report.total_injected > 0
-        # the fault mix actually exercised the primary path
-        fired_primary = report.fired.get("estimator.Min-Skew", 0)
-        assert report.injected.get("estimator.Min-Skew", 0) \
-            >= 0.1 * max(fired_primary, 1)
-
-    def test_degradations_are_observable(self, report):
-        """Every lost fight shows up in the resilience counters."""
-        assert sum(report.served.values()) + report.last_resort \
-            == report.n_queries
-        assert report.retries > 0
-        assert report.counters.get("resilience.queries") \
-            == report.n_queries
-
-    def test_byte_deterministic_for_fixed_seed(self, report):
-        again = run_chaos(CHAOS_CONFIG)
-        assert again.estimates_sha256 == report.estimates_sha256
-        assert again.injected == report.injected
-        assert again.fired == report.fired
-        assert again.to_dict() == report.to_dict()
-
-    def test_zero_fault_rate_never_degrades(self):
-        clean = run_chaos(ChaosConfig(
-            n=600, n_buckets=10, n_regions=256, n_queries=40,
-            fault_rate=0.0, plan=None,
-        ))
-        assert clean.survival == 1.0
-        assert clean.degraded == 0
-        assert clean.served.get("Min-Skew") == clean.n_queries
 
 
 # ----------------------------------------------------------------------

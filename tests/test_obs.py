@@ -273,3 +273,24 @@ def test_bench_gate_failures_name_each_false_gate(cell, failed):
     from repro.obs.bench import gate_failures
 
     assert gate_failures(cell) == failed
+
+
+# ----------------------------------------------------------------------
+# bench artifact schema
+# ----------------------------------------------------------------------
+def test_validate_bench_enforces_maximum_without_jsonschema(monkeypatch):
+    """With or without ``jsonschema`` installed, a fraction above its
+    schema maximum is rejected."""
+    import sys
+    from pathlib import Path
+
+    from repro.obs.schema import BenchSchemaError, validate_bench
+
+    monkeypatch.setitem(sys.modules, "jsonschema", None)
+    path = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
+    doc = json.loads(path.read_text())
+    validate_bench(doc)
+    cell = doc["datasets"][0]["techniques"][0]
+    cell["sharded"]["recovery"]["degraded_fraction"] = 1.5
+    with pytest.raises(BenchSchemaError, match="degraded_fraction"):
+        validate_bench(doc)

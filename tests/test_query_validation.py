@@ -4,10 +4,9 @@ Every batch entry point routes its query block through
 :func:`repro.geometry.validate.validate_coords_array` before any kernel
 runs, so a :class:`~repro.geometry.RectSet` constructed with
 ``validate=False`` cannot smuggle NaN, infinite, or inverted rectangles
-into an estimator or the resilience chain.  These tests build exactly
-such hostile batches and assert the
-:class:`~repro.errors.GeometryError` fires — and that the estimator
-still serves valid work afterwards.  The scalar path rejects exactly
+into an estimator.  These tests build exactly such hostile batches and
+assert the :class:`~repro.errors.GeometryError` fires — and that the
+estimator still serves valid work afterwards.  The scalar path rejects exactly
 what the batch path rejects, even for a hostile :class:`Rect` that
 skipped its own constructor check.
 """
@@ -20,8 +19,6 @@ from repro.errors import GeometryError
 from repro.estimators.exact import ExactEstimator
 from repro.eval import ALL_TECHNIQUES, build_estimator
 from repro.geometry import RectSet
-from repro.obs import OBS
-from repro.resilience import build_fallback_chain
 from repro.serving import ShardedHistogram
 from repro.workload import range_queries
 
@@ -183,37 +180,4 @@ class TestScalarValidation:
         value = est.estimate(query)
         assert value == float(
             est.estimate_batch(RectSet.from_rects([query]))[0]
-        )
-
-
-class TestGuardedChainValidation:
-    def test_rejected_before_entering_chain(self):
-        chain = build_fallback_chain(DATA, 8, n_regions=100)
-        with OBS.scope():
-            OBS.reset()
-            for kind in sorted(HOSTILE):
-                with pytest.raises(GeometryError):
-                    chain.estimate_batch(_rectset(kind))
-            counters = dict(OBS.snapshot()["counters"])
-            OBS.reset()
-        # validation failed fast: no link was ever consulted
-        assert not any(
-            key.startswith(("resilience.link_failures",
-                            "resilience.served"))
-            for key in counters
-        )
-
-    def test_hostile_scalar_rejected_before_entering_chain(self):
-        chain = build_fallback_chain(DATA, 8, n_regions=100)
-        with OBS.scope():
-            OBS.reset()
-            for kind in sorted(HOSTILE_SCALARS):
-                with pytest.raises(GeometryError):
-                    chain.estimate(_hostile_rect(*HOSTILE_SCALARS[kind]))
-            counters = dict(OBS.snapshot()["counters"])
-            OBS.reset()
-        assert not any(
-            key.startswith(("resilience.link_failures",
-                            "resilience.served"))
-            for key in counters
         )

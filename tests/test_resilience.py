@@ -1,18 +1,13 @@
-"""Unit tests for the resilience layer: clock, faults, retry, chain."""
+"""Unit tests for the resilience layer: clock, faults, retry, breaker."""
 
-import numpy as np
 import pytest
 
-from repro.data import uniform_rects
 from repro.errors import (
     ArtifactCorruptError,
     DeadlineError,
-    FallbackExhaustedError,
     InjectedFault,
     TransientIOError,
 )
-from repro.geometry import Rect
-from repro.obs import OBS
 from repro.resilience import (
     CircuitBreaker,
     Deadline,
@@ -22,11 +17,9 @@ from repro.resilience import (
     RetryPolicy,
     StepClock,
     active_injector,
-    build_fallback_chain,
     fire,
     installed,
     sites_from_rates,
-    with_retry,
 )
 
 
@@ -171,41 +164,12 @@ class TestFaultInjector:
 # ----------------------------------------------------------------------
 # retry
 # ----------------------------------------------------------------------
-class TestRetry:
-    def test_retries_retryable_until_success(self):
-        clock = StepClock()
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise TransientIOError("flap")
-            return "ok"
-
-        assert with_retry(flaky, RetryPolicy(max_attempts=3), clock) \
-            == "ok"
-        assert len(calls) == 3
-        # backoff 1 after attempt 1, 2 after attempt 2
-        assert clock.now() == 3
-
-    def test_gives_up_after_max_attempts(self):
-        def always():
-            raise TransientIOError("flap")
-
-        with pytest.raises(TransientIOError):
-            with_retry(always, RetryPolicy(max_attempts=2), StepClock())
-
-    def test_non_retryable_propagates_immediately(self):
-        calls = []
-
-        def poisoned():
-            calls.append(1)
-            raise ArtifactCorruptError("bad checksum")
-
-        with pytest.raises(ArtifactCorruptError):
-            with_retry(poisoned, RetryPolicy(max_attempts=5),
-                       StepClock())
-        assert len(calls) == 1
+class TestRetryPolicy:
+    def test_backoff_doubles_from_one_step(self):
+        # the default schedule the router charges to its step clock
+        # after failed attempts 1, 2 and 3
+        policy = RetryPolicy(max_attempts=4)
+        assert [policy.backoff_for(a) for a in (1, 2, 3)] == [1, 2, 4]
 
 
 # ----------------------------------------------------------------------
@@ -238,141 +202,3 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.state == "open"
 
-
-# ----------------------------------------------------------------------
-# the guarded fallback chain
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def chain_data():
-    return uniform_rects(300, seed=5)
-
-
-def _fresh_chain(chain_data, **kwargs):
-    return build_fallback_chain(chain_data, 10, n_regions=256, **kwargs)
-
-
-class TestGuardedEstimator:
-    def test_no_faults_serves_primary(self, chain_data):
-        chain = _fresh_chain(chain_data)
-        with OBS.scope():
-            OBS.reset()
-            value = chain.estimate(Rect(0.0, 0.0, 500.0, 500.0))
-            counters = OBS.snapshot()["counters"]
-            OBS.reset()
-        assert np.isfinite(value) and value >= 0.0
-        assert counters.get("resilience.served.Min-Skew") == 1
-        assert "resilience.degraded" not in counters
-
-    def test_poisoned_primary_degrades_to_sample(self, chain_data):
-        chain = _fresh_chain(chain_data)
-        plan = FaultPlan(
-            0, (FaultSpec("estimator.build.Min-Skew", kind="corrupt"),)
-        )
-        query = Rect(0.0, 0.0, 500.0, 500.0)
-        with OBS.scope():
-            OBS.reset()
-            with installed(FaultInjector(plan, clock=chain.clock)):
-                value = chain.estimate(query)
-            counters = OBS.snapshot()["counters"]
-            OBS.reset()
-        assert np.isfinite(value)
-        assert counters.get("resilience.served.Sample") == 1
-        assert counters.get("resilience.degraded") == 1
-        assert counters.get("resilience.link_failures.Min-Skew") == 1
-
-    def test_transient_fault_is_retried_not_degraded(self, chain_data):
-        chain = _fresh_chain(chain_data)
-        plan = FaultPlan(
-            0,
-            (FaultSpec("estimator.Min-Skew", kind="io",
-                       recover_after=1),),
-        )
-        with OBS.scope():
-            OBS.reset()
-            with installed(FaultInjector(plan, clock=chain.clock)):
-                chain.estimate(Rect(0.0, 0.0, 500.0, 500.0))
-            counters = OBS.snapshot()["counters"]
-            OBS.reset()
-        assert counters.get("resilience.retries") == 1
-        assert counters.get("resilience.served.Min-Skew") == 1
-        assert "resilience.degraded" not in counters
-
-    def test_all_links_failing_returns_last_resort(self, chain_data):
-        chain = _fresh_chain(chain_data)
-        plan = FaultPlan(0, (FaultSpec("estimator.build.*",
-                                       kind="corrupt"),))
-        with OBS.scope():
-            OBS.reset()
-            with installed(FaultInjector(plan, clock=chain.clock)):
-                value = chain.estimate(Rect(0.0, 0.0, 1.0, 1.0))
-            counters = OBS.snapshot()["counters"]
-            OBS.reset()
-        assert value == 0.0
-        assert counters.get("resilience.last_resort") == 1
-
-    def test_exhausted_chain_raises_without_last_resort(
-        self, chain_data
-    ):
-        chain = _fresh_chain(chain_data)
-        chain.last_resort = None
-        plan = FaultPlan(0, (FaultSpec("estimator.build.*",
-                                       kind="corrupt"),))
-        with installed(FaultInjector(plan, clock=chain.clock)):
-            with pytest.raises(FallbackExhaustedError):
-                chain.estimate(Rect(0.0, 0.0, 1.0, 1.0))
-
-    def test_breaker_stops_hammering_poisoned_link(self, chain_data):
-        chain = _fresh_chain(chain_data, failure_threshold=2,
-                             reset_after_steps=10_000)
-        plan = FaultPlan(0, (FaultSpec("estimator.build.Min-Skew",
-                                       kind="corrupt"),))
-        injector = FaultInjector(plan, clock=chain.clock)
-        with OBS.scope():
-            OBS.reset()
-            with installed(injector):
-                for _ in range(6):
-                    chain.estimate(Rect(0.0, 0.0, 500.0, 500.0))
-            counters = OBS.snapshot()["counters"]
-            OBS.reset()
-        assert counters.get("resilience.link_failures.Min-Skew") == 2
-        assert counters.get("resilience.skipped.Min-Skew") == 4
-        assert counters.get("resilience.served.Sample") == 6
-
-    def test_slow_faults_trip_the_deadline(self, chain_data):
-        # A slow fault stalls the failing primary long enough that the
-        # per-call budget is gone before the next link is tried: the
-        # call short-circuits to the last resort instead of blowing
-        # the budget further.
-        chain = _fresh_chain(chain_data, call_budget_steps=3)
-        plan = FaultPlan(0, (
-            FaultSpec("estimator.*", kind="slow", slow_steps=50),
-            FaultSpec("estimator.build.Min-Skew", kind="corrupt"),
-        ))
-        with OBS.scope():
-            OBS.reset()
-            with installed(FaultInjector(plan, clock=chain.clock)):
-                value = chain.estimate(Rect(0.0, 0.0, 1.0, 1.0))
-            counters = OBS.snapshot()["counters"]
-            OBS.reset()
-        assert np.isfinite(value)
-        assert counters.get("resilience.deadline_exceeded", 0) >= 1
-        assert counters.get("resilience.last_resort", 0) >= 1
-
-    def test_estimate_many_degrades_whole_batch(self, chain_data):
-        chain = _fresh_chain(chain_data)
-        plan = FaultPlan(
-            0, (FaultSpec("estimator.build.Min-Skew", kind="corrupt"),)
-        )
-        queries = uniform_rects(20, seed=8)
-        with installed(FaultInjector(plan, clock=chain.clock)):
-            values = chain.estimate_many(queries)
-        assert values.shape == (20,)
-        assert np.isfinite(values).all()
-
-    def test_invalid_query_is_callers_bug(self):
-        # Degenerate inputs never reach the chain: the Rect constructor
-        # (the single validation helper) rejects them first.
-        with pytest.raises(ValueError):
-            Rect(float("nan"), 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            Rect(1.0, 0.0, 0.0, 1.0)

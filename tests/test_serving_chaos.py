@@ -1,27 +1,19 @@
-"""Chaos tests for the vectorised serving path.
+"""Chaos tests for the sharded serving tier.
 
-Serving a batch through the resilience chain keeps its degradation
-semantics: an injected fault in the Min-Skew path makes the *whole
-batch* fall through to the next healthy link, the resilience counters
-account for every query in the batch, and once the fault clears the
-chain answers exactly like one that never failed.  In the sharded
-tier the same holds per shard: a fault at one shard's router site
-degrades only that shard's partial, and the next clean serve is
-bit-identical to a router that never failed.
+A fault at one shard's router site (``serving.worker.s<id>``) degrades
+only that shard's partial to its ``Uniform@s<id>`` last resort, and
+the next clean serve is bit-identical to a router that never failed.
+The worker-kill experiment behind ``repro-spatial chaos`` SIGKILLs
+pool workers with front-door clients in flight, and every client must
+get a correct answer or a typed error — never a hang — while the
+recovered tier answers bit-identically to the union reference.
 """
 
 import numpy as np
 import pytest
 
 from repro.data import uniform_rects
-from repro.errors import FallbackExhaustedError
-from repro.resilience import (
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    build_fallback_chain,
-    installed,
-)
+from repro.resilience import FaultInjector, FaultPlan, FaultSpec, installed
 from repro.workload import range_queries
 
 N_QUERIES = 60
@@ -35,137 +27,6 @@ def data():
 @pytest.fixture()
 def queries(data):
     return range_queries(data, 0.1, N_QUERIES, seed=6)
-
-
-def _chain(data, **kwargs):
-    return build_fallback_chain(data, 10, n_regions=256, **kwargs)
-
-
-def _run(chain, queries, plan, capture):
-    """Serve a batch through the chain under an installed fault plan;
-    ``capture`` is the ``capture_counters`` fixture; returns
-    (values, counters)."""
-
-    def serve():
-        with installed(FaultInjector(plan, clock=chain.clock)):
-            return chain.estimate_batch(queries)
-
-    return capture(serve)
-
-
-class TestDegradedBatchServing:
-    def test_corrupt_minskew_build_served_by_sample(
-        self, data, queries, capture_counters
-    ):
-        chain = _chain(data)
-        plan = FaultPlan(
-            0, (FaultSpec("estimator.build.Min-Skew", kind="corrupt"),)
-        )
-        values, counters = _run(chain, queries, plan, capture_counters)
-        assert values.shape == (N_QUERIES,)
-        assert np.isfinite(values).all() and (values >= 0.0).all()
-        assert counters.get("resilience.link_failures.Min-Skew") == 1
-        assert counters.get("resilience.served.Sample") == N_QUERIES
-        assert counters.get("resilience.degraded") == N_QUERIES
-
-    def test_degraded_answers_match_fallback_link(
-        self, data, queries, capture_counters
-    ):
-        # what the degraded chain serves is exactly the Sample link's
-        # own batch answer — degradation, not distortion
-        chain = _chain(data)
-        plan = FaultPlan(
-            0, (FaultSpec("estimator.build.Min-Skew", kind="corrupt"),)
-        )
-        values, _ = _run(chain, queries, plan, capture_counters)
-        sample_link = next(
-            link for link in chain.links if link.name == "Sample"
-        )
-        reference = sample_link.built_estimator.estimate_batch(queries)
-        np.testing.assert_array_equal(values, reference)
-
-    def test_runtime_fault_in_built_minskew(
-        self, data, queries, capture_counters
-    ):
-        chain = _chain(data)
-        # build succeeds; the *serve* site fails
-        plan = FaultPlan(0, (FaultSpec("estimator.Min-Skew",
-                                       kind="fail"),))
-        values, counters = _run(chain, queries, plan, capture_counters)
-        assert np.isfinite(values).all()
-        assert counters.get("resilience.link_failures.Min-Skew") == 1
-        assert counters.get("resilience.served.Sample") == N_QUERIES
-
-    def test_transient_fault_retried_without_degrading(
-        self, data, queries, capture_counters
-    ):
-        chain = _chain(data)
-        plan = FaultPlan(
-            0,
-            (FaultSpec("estimator.Min-Skew", kind="io",
-                       recover_after=1),),
-        )
-        values, counters = _run(chain, queries, plan, capture_counters)
-        assert counters.get("resilience.retries") == 1
-        assert counters.get("resilience.served.Min-Skew") == N_QUERIES
-        assert "resilience.degraded" not in counters
-        # after the retry the values are the healthy chain's values
-        clean = _chain(data)
-        np.testing.assert_array_equal(
-            values, clean.estimate_batch(queries)
-        )
-
-    def test_all_links_failing_fills_last_resort(
-        self, data, queries, capture_counters
-    ):
-        chain = _chain(data)
-        plan = FaultPlan(0, (FaultSpec("estimator.build.*",
-                                       kind="corrupt"),))
-        values, counters = _run(chain, queries, plan, capture_counters)
-        np.testing.assert_array_equal(
-            values, np.zeros(N_QUERIES, dtype=np.float64)
-        )
-        assert counters.get("resilience.last_resort") == N_QUERIES
-        for name in ("Min-Skew", "Sample", "Uniform"):
-            assert counters.get(
-                f"resilience.link_failures.{name}"
-            ) == 1
-
-    def test_exhausted_chain_propagates_through_engine(
-        self, data, queries
-    ):
-        chain = _chain(data)
-        chain.last_resort = None
-        plan = FaultPlan(0, (FaultSpec("estimator.build.*",
-                                       kind="corrupt"),))
-        with installed(FaultInjector(plan, clock=chain.clock)):
-            with pytest.raises(FallbackExhaustedError):
-                chain.estimate_batch(queries)
-
-
-class TestCacheUnderDegradation:
-    def test_post_recovery_answers_match_healthy_estimator(
-        self, data, queries, capture_counters
-    ):
-        """Once the injected fault clears, the very next serve answers
-        with the healthy (Min-Skew) link's values — bit-identical to a
-        chain that never failed — and keeps answering them."""
-        chain = _chain(data)
-        plan = FaultPlan(
-            0, (FaultSpec("estimator.build.Min-Skew", kind="corrupt"),)
-        )
-        first, _ = _run(chain, queries, plan, capture_counters)
-        # injector gone; one build failure leaves the breaker closed
-        # (threshold 3), so the chain rebuilds Min-Skew and recovers
-        second = chain.estimate_batch(queries)
-        healthy = _chain(data)
-        np.testing.assert_array_equal(
-            second, healthy.estimate_batch(queries)
-        )
-        assert not np.array_equal(second, first)
-        np.testing.assert_array_equal(
-            chain.estimate_batch(queries), second
-        )
 
 
 class TestShardedChaos:
@@ -287,29 +148,6 @@ class TestShardedChaos:
         assert not np.array_equal(second, first)
 
 
-class TestLazyLinkIndexing:
-    def test_link_built_after_degradation_is_indexed(
-        self, data, queries
-    ):
-        """The chain degrades first (Min-Skew unbuilt, Sample
-        serving), then recovers — the late-built Min-Skew link's
-        scalar path answers exactly like a healthy chain's."""
-        chain = _chain(data)
-        plan = FaultPlan(
-            0, (FaultSpec("estimator.build.Min-Skew", kind="corrupt"),)
-        )
-        with installed(FaultInjector(plan, clock=chain.clock)):
-            chain.estimate_batch(queries)
-        chain.estimate_batch(queries)  # recovery: Min-Skew builds
-        minskew = next(
-            link for link in chain.links if link.name == "Min-Skew"
-        ).built_estimator
-        assert minskew is not None
-        healthy = _chain(data)
-        for q in list(queries)[:10]:
-            assert chain.estimate(q) == healthy.estimate(q)
-
-
 class TestFrontDoorWorkerKillChaos:
     """SIGKILLed workers with front-door clients in flight.
 
@@ -342,3 +180,22 @@ class TestFrontDoorWorkerKillChaos:
         assert report.recovered_matches  # over-the-wire, bit-identical
         assert report.digests_match
         assert report.passed
+
+
+class TestChaosCommand:
+    """``repro-spatial chaos`` runs the worker-kill experiment."""
+
+    def test_every_batch_survives_and_recovery_matches(self, capsys):
+        import json
+
+        from repro.cli import main
+
+        code = main([
+            "chaos", "--n", "600", "--queries", "75", "--buckets", "16",
+            "--regions", "256", "--format", "json",
+        ])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["requests"] == 3  # one batch per 25 queries
+        assert report["survived"] == report["requests"]
+        assert report["recovered_matches"] is True
