@@ -449,7 +449,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         n=args.n,
         n_shards=args.shards,
         n_buckets=args.buckets,
-        n_regions=min(args.regions, 512),
+        n_regions=args.regions,
         workers=args.shard_workers,
         n_batches=max(1, args.queries // 25),
         batch_size=25,
@@ -778,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1_200,
                    help="dataset size (default: 1200)")
     p.add_argument("--buckets", type=int, default=40)
-    p.add_argument("--regions", type=int, default=2_500)
+    p.add_argument("--regions", type=int, default=512)
     p.add_argument("--queries", type=int, default=300)
     p.add_argument("--qsize", type=float, default=0.05)
     p.add_argument("--fault-rate", type=float, default=0.2,

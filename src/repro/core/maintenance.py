@@ -86,8 +86,10 @@ class MaintainedHistogram:
 
         Bucket rows use the :func:`repro.storage.persist.save_buckets`
         layout (``[x1, y1, x2, y2, count, avg_w, avg_h, avg_density]``);
-        Python floats round-trip JSON exactly, so
-        :meth:`from_state` reconstructs a bit-identical histogram.
+        Python floats serialise to JSON exactly, so two histograms
+        whose snapshots serialise equal are bit-identical — the
+        comparison behind the sharded tier's
+        :meth:`~repro.serving.HistogramShard.state_digest`.
         """
         return {
             "epoch": self._epoch,
@@ -105,47 +107,6 @@ class MaintainedHistogram:
                 [float(v) for v in row] for row in self._rows
             ],
         }
-
-    @classmethod
-    def from_state(
-        cls,
-        partitioner: Partitioner,
-        state: dict,
-        *,
-        drift_threshold: float = 0.2,
-    ) -> "MaintainedHistogram":
-        """Reconstruct a histogram from a :meth:`state` snapshot.
-
-        The recovery path of the sharded serving tier: a respawned
-        worker restores the last checkpoint *without* re-running the
-        partitioner, because the bucket statistics drift incrementally
-        under mutations — a rebuild from the raw data would be a
-        different (epoch-0) summary, not the pre-crash one.  Every
-        field of the mutable state is restored verbatim, so the result
-        is bit-identical to the instance the state was captured from.
-        """
-        hist = cls.__new__(cls)
-        hist._partitioner = partitioner
-        hist._drift_threshold = drift_threshold
-        hist._rows = [
-            np.asarray(row, dtype=np.float64)
-            for row in state["rows"]
-        ]
-        hist.buckets = [
-            Bucket(
-                Rect(float(r[0]), float(r[1]), float(r[2]),
-                     float(r[3])),
-                int(r[4]),
-                avg_width=float(r[5]),
-                avg_height=float(r[6]),
-                avg_density=float(r[7]),
-            )
-            for r in state["buckets"]
-        ]
-        hist._modifications = int(state["modifications"])
-        hist._uncovered = int(state["uncovered"])
-        hist._epoch = int(state["epoch"])
-        return hist
 
     # ------------------------------------------------------------------
     # bookkeeping

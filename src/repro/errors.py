@@ -89,8 +89,8 @@ class EstimationError(ReproError):
 class ShardWorkerError(EstimationError):
     """A shard worker process died, wedged past its reply deadline, or
     reported a per-request failure.  Retryable: the pool respawns the
-    worker (replaying its write-ahead log), so the same request is
-    expected to succeed on a fresh process; a shard that keeps failing
+    worker from the parent's copy of its shards, so the same request
+    is expected to succeed on a fresh process; a shard that keeps failing
     is quarantined by the router and served degraded instead."""
 
     retryable = True

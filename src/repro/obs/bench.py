@@ -835,10 +835,10 @@ class _Sharded(_Stack):
     the gate is re-checked over the post-stream state.
 
     ``sharded.recovery`` is a worker-kill chaos run over a fresh
-    write-ahead-logged tier (SIGKILLed workers, WAL replay on
-    respawn): request survival, respawns, replayed ops, the
-    degraded-dispatch fraction, and whether the recovered tier matched
-    the union reference bit-for-bit.  Every field is logical, so the
+    pooled tier (SIGKILLed workers, respawned from the parent's shard
+    copies): request survival, kills, respawns, the degraded-dispatch
+    fraction, and whether the recovered tier matched the union
+    reference bit-for-bit.  Every field is logical, so the
     block is stable across machines.
     """
 
@@ -942,7 +942,6 @@ class _Sharded(_Stack):
             "survived": report.survived,
             "kills": report.kills,
             "respawns": report.respawns,
-            "replayed_ops": report.replayed_ops,
             "degraded_fraction": report.degraded_fraction,
             "recovered_matches": (
                 report.recovered_matches and report.digests_match

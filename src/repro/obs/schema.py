@@ -151,7 +151,6 @@ _SHARDED_SCHEMA = {
                 "survived",
                 "kills",
                 "respawns",
-                "replayed_ops",
                 "degraded_fraction",
                 "recovered_matches",
             ],
@@ -160,7 +159,6 @@ _SHARDED_SCHEMA = {
                 "survived": {"type": "integer", "minimum": 0},
                 "kills": {"type": "integer", "minimum": 0},
                 "respawns": {"type": "integer", "minimum": 0},
-                "replayed_ops": {"type": "integer", "minimum": 0},
                 "degraded_fraction": {
                     "type": "number", "minimum": 0, "maximum": 1,
                 },

@@ -1,14 +1,15 @@
 """Chaos harness: SIGKILL shard workers mid-stream, prove nothing is lost.
 
-``repro-spatial chaos`` builds a write-ahead-logged sharded tier behind
-a supervised :class:`~repro.serving.ShardRouter`, drives query batches
+``repro-spatial chaos`` builds a pooled sharded tier behind a
+supervised :class:`~repro.serving.ShardRouter`, drives query batches
 and mutations through it, and between batches lets a deterministic
 :class:`~repro.resilience.faults.FaultPlan` pick worker processes to
-SIGKILL.  The report says how many batches survived (every value
-finite), how many workers were killed, respawned and replayed, what
-share of shard dispatches the router served with a degraded
-``Uniform@s<id>`` partial, and whether the recovered tier answers
-bit-identically to the single-engine union reference.  With
+SIGKILL.  The pool respawns each killed worker from the parent's
+authoritative copy of its shards.  The report says how many batches
+survived (every value finite), how many workers were killed and
+respawned, what share of shard dispatches the router served with a
+degraded ``Uniform@s<id>`` partial, and whether the recovered tier
+answers bit-identically to the single-engine union reference.  With
 ``through_server`` the batches arrive as in-flight TCP clients of a
 front door.  The report embeds a SHA-256 digest of the recovered
 estimate vector.
@@ -41,8 +42,8 @@ __all__ = [
 class WorkerKillConfig:
     """One worker-kill chaos experiment (fully seeded).
 
-    A sharded serving tier with write-ahead-logged shards is driven
-    through interleaved query batches and mutations while a seeded
+    A pooled sharded serving tier is driven through interleaved query
+    batches and mutations while a seeded
     :class:`~repro.resilience.faults.FaultPlan` decides, between
     batches, which worker processes to SIGKILL.  The experiment
     asserts the fault-tolerance contract: every batch is answered
@@ -77,8 +78,6 @@ class WorkerKillConfig:
     poll_interval: float = 0.01
     failure_threshold: int = 3
     reset_after_steps: int = 25
-    checkpoint_every: int = 8
-    wal_dir: Optional[str] = None
     through_server: bool = False
     server_concurrency: int = 8
     server_timeout: float = 20.0
@@ -92,9 +91,6 @@ class WorkerKillReport:
     survived: int
     kills: int
     respawns: int
-    replayed_ops: int
-    wal_records: int
-    checkpoints: int
     degraded_dispatches: int
     fanout: int
     recovered_matches: bool
@@ -141,9 +137,6 @@ class WorkerKillReport:
             "survival": self.survival,
             "kills": self.kills,
             "respawns": self.respawns,
-            "replayed_ops": self.replayed_ops,
-            "wal_records": self.wal_records,
-            "checkpoints": self.checkpoints,
             "degraded_dispatches": self.degraded_dispatches,
             "fanout": self.fanout,
             "degraded_fraction": self.degraded_fraction,
@@ -164,19 +157,19 @@ def run_worker_kill_chaos(
 ) -> WorkerKillReport:
     """SIGKILL shard workers mid-stream; prove nothing is lost.
 
-    The run builds a write-ahead-logged sharded tier behind a
-    supervised router, serves ``n_batches`` query batches with
-    ``mutations_per_batch`` routed mutations between them, and between
-    batches consults the seeded plan's ``chaos.worker-kill.w<i>``
-    sites to decide which workers to SIGKILL.  After the stream it
-    drains any quarantine (advancing the router's logical clock past
-    the breaker cooldown) and checks the two recovery invariants:
+    The run builds a pooled sharded tier behind a supervised router,
+    serves ``n_batches`` query batches with ``mutations_per_batch``
+    routed mutations between them, and between batches consults the
+    seeded plan's ``chaos.worker-kill.w<i>`` sites to decide which
+    workers to SIGKILL.  After the stream it drains any quarantine
+    (advancing the router's logical clock past the breaker cooldown)
+    and checks the two recovery invariants:
 
     * the recovered tier's answer over the full query set is
       bit-identical to the :class:`ShardUnionEstimator` reference;
     * every worker-held shard's ``state_digest`` equals the parent's
-      authoritative copy — checkpoint + WAL replay reconstructed the
-      exact pre-crash state, not an approximation of it.
+      authoritative copy — a respawned worker holds the exact
+      pre-crash state, not an approximation of it.
 
     With ``config.through_server`` the router serves behind a
     :class:`~repro.serving.FrontDoorThread` and every query batch is
@@ -188,15 +181,12 @@ def run_worker_kill_chaos(
     """
     import contextlib
     import os
-    import shutil
     import signal
-    import tempfile
     import threading
 
     from ..data import make_dataset
     from ..geometry import RectSet
-    from ..serving import FrontDoorThread, ShardedHistogram, \
-        ShardRouter, attach_wals, wal_recovery
+    from ..serving import FrontDoorThread, ShardedHistogram, ShardRouter
     from ..workload import live_workload, range_queries
     from .retry import RetryPolicy
 
@@ -216,10 +206,6 @@ def run_worker_kill_chaos(
         )
         if op.kind != "query"
     ]
-    wal_dir = config.wal_dir
-    cleanup = wal_dir is None
-    if wal_dir is None:
-        wal_dir = tempfile.mkdtemp(prefix="repro-worker-kill-")
     plan = FaultPlan(config.plan_seed, (
         FaultSpec("chaos.worker-kill.*", kind="fail",
                   probability=config.kill_rate),
@@ -229,200 +215,187 @@ def run_worker_kill_chaos(
     survived = 0
     requests = 0
     timeouts = 0
-    try:
-        with OBS.scope():
-            OBS.reset()
-            try:
-                sharded = ShardedHistogram.build(
-                    data,
-                    n_shards=config.n_shards,
-                    n_buckets=config.n_buckets,
-                    n_regions=config.n_regions,
-                    partitioner_factory=partitioner_factory,
-                )
-                wals = attach_wals(
-                    sharded, wal_dir,
-                    checkpoint_every=config.checkpoint_every,
-                )
-                router = ShardRouter(
-                    sharded,
-                    workers=config.workers,
-                    recover=wal_recovery(sharded, wals),
-                    retry=RetryPolicy(max_attempts=3),
-                    budget_steps=config.budget_steps,
-                    poll_interval=config.poll_interval,
-                    failure_threshold=config.failure_threshold,
-                    reset_after_steps=config.reset_after_steps,
-                )
-                injector = FaultInjector(plan, clock=router._clock)
-                mutation_iter = iter(mutations)
+    with OBS.scope():
+        OBS.reset()
+        try:
+            sharded = ShardedHistogram.build(
+                data,
+                n_shards=config.n_shards,
+                n_buckets=config.n_buckets,
+                n_regions=config.n_regions,
+                partitioner_factory=partitioner_factory,
+            )
+            router = ShardRouter(
+                sharded,
+                workers=config.workers,
+                retry=RetryPolicy(max_attempts=3),
+                budget_steps=config.budget_steps,
+                poll_interval=config.poll_interval,
+                failure_threshold=config.failure_threshold,
+                reset_after_steps=config.reset_after_steps,
+            )
+            injector = FaultInjector(plan)
+            mutation_iter = iter(mutations)
 
-                def _sigkill(pid: int) -> None:
-                    try:
-                        os.kill(pid, signal.SIGKILL)
-                    except OSError:
-                        # the worker died (or was respawned) between
-                        # pid snapshot and signal — the race is the
-                        # experiment, not an error
-                        pass
+            def _sigkill(pid: int) -> None:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except OSError:
+                    # the worker died (or was respawned) between
+                    # pid snapshot and signal — the race is the
+                    # experiment, not an error
+                    pass
 
-                def _fire_kills() -> int:
-                    with installed(injector):
-                        return _kill_planned_workers(
-                            router._pool, kill=_sigkill
+            def _fire_kills() -> int:
+                with installed(injector):
+                    return _kill_planned_workers(
+                        router._pool, kill=_sigkill
+                    )
+
+            front: Optional[FrontDoorThread] = None
+            with contextlib.ExitStack() as stack:
+                stack.enter_context(router)
+                if config.through_server:
+                    front = FrontDoorThread(router).start()
+                    # LIFO: the door stops before the router
+                    # tears the worker pool down
+                    stack.callback(front.stop)
+                for batch_no in range(config.n_batches):
+                    lo = batch_no * config.batch_size
+                    batch = RectSet(
+                        queries.coords[lo:lo + config.batch_size],
+                        copy=False, validate=False,
+                    )
+                    requests += 1
+                    if front is not None:
+                        # fire the kill decisions on a thread so
+                        # workers die while client requests are
+                        # in flight on the wire
+                        killer: Optional[threading.Thread] = None
+                        kill_box: List[int] = []
+                        if router._pool is not None:
+                            killer = threading.Thread(
+                                target=lambda box=kill_box:
+                                    box.append(_fire_kills()),
+                                daemon=True,
+                            )
+                            killer.start()
+                        responses = front.estimate_many(
+                            batch.coords,
+                            concurrency=min(
+                                config.server_concurrency,
+                                len(batch),
+                            ),
+                            timeout=config.server_timeout,
                         )
-
-                front: Optional[FrontDoorThread] = None
-                with contextlib.ExitStack() as stack:
-                    stack.enter_context(router)
-                    if config.through_server:
-                        front = FrontDoorThread(router).start()
-                        # LIFO: the door stops before the router
-                        # tears the worker pool down
-                        stack.callback(front.stop)
-                    for batch_no in range(config.n_batches):
-                        lo = batch_no * config.batch_size
-                        batch = RectSet(
-                            queries.coords[
-                                lo:lo + config.batch_size
-                            ],
-                            copy=False, validate=False,
-                        )
-                        requests += 1
+                        if killer is not None:
+                            killer.join(timeout=60.0)
+                            kills += sum(kill_box)
+                        answered = 0
+                        for resp in responses:
+                            if resp.get("error") == "TimeoutError":
+                                timeouts += 1
+                            elif resp.get("ok", False):
+                                if np.isfinite(float(
+                                    resp.get("value", np.nan)
+                                )):
+                                    answered += 1
+                            elif resp.get("error"):
+                                answered += 1
+                        if answered == len(batch):
+                            survived += 1
+                    else:
+                        if router._pool is not None:
+                            kills += _fire_kills()
+                        estimates = router.estimate_batch(batch)
+                        if (
+                            len(estimates) == len(batch)
+                            and bool(
+                                np.isfinite(estimates).all()
+                            )
+                        ):
+                            survived += 1
+                    for _ in range(config.mutations_per_batch):
+                        op = next(mutation_iter, None)
+                        if op is None:
+                            break
                         if front is not None:
-                            # fire the kill decisions on a thread so
-                            # workers die while client requests are
-                            # in flight on the wire
-                            killer: Optional[threading.Thread] = None
-                            kill_box: List[int] = []
-                            if router._pool is not None:
-                                killer = threading.Thread(
-                                    target=lambda box=kill_box:
-                                        box.append(_fire_kills()),
-                                    daemon=True,
-                                )
-                                killer.start()
-                            responses = front.estimate_many(
-                                batch.coords,
-                                concurrency=min(
-                                    config.server_concurrency,
-                                    len(batch),
-                                ),
+                            front.mutate(
+                                op.kind,
+                                (op.rect.x1, op.rect.y1,
+                                 op.rect.x2, op.rect.y2),
                                 timeout=config.server_timeout,
                             )
-                            if killer is not None:
-                                killer.join(timeout=60.0)
-                                kills += sum(kill_box)
-                            answered = 0
-                            for resp in responses:
-                                if resp.get("error") == "TimeoutError":
-                                    timeouts += 1
-                                elif resp.get("ok", False):
-                                    if np.isfinite(float(
-                                        resp.get("value", np.nan)
-                                    )):
-                                        answered += 1
-                                elif resp.get("error"):
-                                    answered += 1
-                            if answered == len(batch):
-                                survived += 1
+                        elif op.kind == "insert":
+                            router.insert(op.rect)
                         else:
-                            if router._pool is not None:
-                                kills += _fire_kills()
-                            estimates = router.estimate_batch(batch)
-                            if (
-                                len(estimates) == len(batch)
-                                and bool(
-                                    np.isfinite(estimates).all()
-                                )
-                            ):
-                                survived += 1
-                        for _ in range(config.mutations_per_batch):
-                            op = next(mutation_iter, None)
-                            if op is None:
-                                break
-                            if front is not None:
-                                front.mutate(
-                                    op.kind,
-                                    (op.rect.x1, op.rect.y1,
-                                     op.rect.x2, op.rect.y2),
-                                    timeout=config.server_timeout,
-                                )
-                            elif op.kind == "insert":
-                                router.insert(op.rect)
-                            else:
-                                router.delete(op.rect)
-                    # drain quarantine: past the cooldown every shard
-                    # goes recovering, and the trial serve (no more
-                    # kills) closes the loop back to healthy
-                    router._clock.advance(
-                        config.reset_after_steps + 1
+                            router.delete(op.rect)
+                # drain quarantine: past the cooldown every shard
+                # goes recovering, and the trial serve (no more
+                # kills) closes the loop back to healthy
+                router._clock.advance(config.reset_after_steps + 1)
+                if front is not None:
+                    front.estimate_many(
+                        queries.coords,
+                        concurrency=config.server_concurrency,
+                        timeout=config.server_timeout,
                     )
-                    if front is not None:
-                        front.estimate_many(
-                            queries.coords,
-                            concurrency=config.server_concurrency,
-                            timeout=config.server_timeout,
-                        )
-                        final_responses = front.estimate_many(
-                            queries.coords,
-                            concurrency=config.server_concurrency,
-                            timeout=config.server_timeout,
-                        )
-                        all_ok = all(
-                            r.get("ok", False)
+                    final_responses = front.estimate_many(
+                        queries.coords,
+                        concurrency=config.server_concurrency,
+                        timeout=config.server_timeout,
+                    )
+                    all_ok = all(
+                        r.get("ok", False)
+                        for r in final_responses
+                    )
+                    annotated = any(
+                        r.get("degraded")
+                        for r in final_responses
+                    )
+                    final = np.array(
+                        [
+                            float(r["value"])
+                            if r.get("ok", False) else np.nan
                             for r in final_responses
+                        ],
+                        dtype=np.float64,
+                    )
+                    recovered_matches = (
+                        all_ok
+                        and not annotated
+                        and router.degraded_shards == ()
+                        and bool(np.array_equal(
+                            final,
+                            sharded.union_estimator()
+                            .estimate_batch(queries),
+                        ))
+                    )
+                else:
+                    router.estimate_batch(queries)
+                    final = router.estimate_batch(queries)
+                    recovered_matches = (
+                        router.degraded_shards == ()
+                        and bool(np.array_equal(
+                            final,
+                            sharded.union_estimator()
+                            .estimate_batch(queries),
+                        ))
+                    )
+                digests_match = True
+                if router._pool is not None:
+                    for shard in sharded.shards:
+                        parent = shard.state_digest()
+                        held = router._pool.call(
+                            shard.shard_id, "state_digest"
                         )
-                        annotated = any(
-                            r.get("degraded")
-                            for r in final_responses
-                        )
-                        final = np.array(
-                            [
-                                float(r["value"])
-                                if r.get("ok", False) else np.nan
-                                for r in final_responses
-                            ],
-                            dtype=np.float64,
-                        )
-                        recovered_matches = (
-                            all_ok
-                            and not annotated
-                            and router.degraded_shards == ()
-                            and bool(np.array_equal(
-                                final,
-                                sharded.union_estimator()
-                                .estimate_batch(queries),
-                            ))
-                        )
-                    else:
-                        router.estimate_batch(queries)
-                        final = router.estimate_batch(queries)
-                        recovered_matches = (
-                            router.degraded_shards == ()
-                            and bool(np.array_equal(
-                                final,
-                                sharded.union_estimator()
-                                .estimate_batch(queries),
-                            ))
-                        )
-                    digests_match = True
-                    if router._pool is not None:
-                        for shard in sharded.shards:
-                            parent = shard.state_digest()
-                            held = router._pool.call(
-                                shard.shard_id, "state_digest"
-                            )
-                            if held != parent:
-                                digests_match = False
-                counters: Dict[str, float] = dict(
-                    OBS.snapshot()["counters"]
-                )
-            finally:
-                OBS.reset()
-    finally:
-        if cleanup:
-            shutil.rmtree(wal_dir, ignore_errors=True)
+                        if held != parent:
+                            digests_match = False
+            counters: Dict[str, float] = dict(
+                OBS.snapshot()["counters"]
+            )
+        finally:
+            OBS.reset()
 
     digest = hashlib.sha256(
         np.asarray(final, dtype=np.float64).tobytes()
@@ -432,9 +405,6 @@ def run_worker_kill_chaos(
         survived=survived,
         kills=kills,
         respawns=int(counters.get("serving.pool.respawns", 0)),
-        replayed_ops=int(counters.get("serving.wal.replayed", 0)),
-        wal_records=int(counters.get("serving.wal.records", 0)),
-        checkpoints=int(counters.get("serving.wal.checkpoints", 0)),
         degraded_dispatches=int(
             counters.get("serving.shard.degraded", 0)
         ),
@@ -493,10 +463,7 @@ def format_worker_kill_report(report: WorkerKillReport) -> str:
             f" ({report.timeouts} deadline timeouts)"
         )
     lines += [
-        f"respawns          : {report.respawns}"
-        f" (replayed ops: {report.replayed_ops})",
-        f"wal               : {report.wal_records} records, "
-        f"{report.checkpoints} checkpoints",
+        f"respawns          : {report.respawns}",
         f"degraded partials : {report.degraded_dispatches}"
         f"/{report.fanout} dispatches"
         f" ({report.degraded_fraction:.1%})",

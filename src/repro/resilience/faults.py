@@ -22,10 +22,6 @@ Fault kinds
 ``corrupt``
     Raise :class:`~repro.errors.ArtifactCorruptError` (not retryable —
     models a checksum failure, i.e. a poisoned artifact).
-``slow``
-    Advance the injector's :class:`~repro.resilience.clock.StepClock`
-    by ``slow_steps``, driving per-call deadline budgets over the edge
-    without raising directly.
 ``fail``
     Raise the generic :class:`~repro.errors.InjectedFault`.
 
@@ -37,7 +33,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +42,6 @@ from ..errors import (
     InjectedFault,
     TransientIOError,
 )
-from .clock import StepClock
 
 __all__ = [
     "FAULT_KINDS",
@@ -56,11 +51,10 @@ __all__ = [
     "fire",
     "active_injector",
     "installed",
-    "sites_from_rates",
 ]
 
 #: Recognised values of :attr:`FaultSpec.kind`.
-FAULT_KINDS = ("io", "corrupt", "slow", "fail")
+FAULT_KINDS = ("io", "corrupt", "fail")
 
 
 @dataclass(frozen=True)
@@ -83,8 +77,6 @@ class FaultSpec:
     recover_after:
         When positive, the spec disarms after this many injections —
         a transient fault that later recovers.
-    slow_steps:
-        Clock advance for ``slow`` faults (ignored otherwise).
     """
 
     site: str
@@ -93,7 +85,6 @@ class FaultSpec:
     start_step: int = 0
     stop_step: Optional[int] = None
     recover_after: int = 0
-    slow_steps: int = 10
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -103,8 +94,7 @@ class FaultSpec:
             )
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError("probability must be within [0, 1]")
-        if self.start_step < 0 or self.slow_steps < 0 \
-                or self.recover_after < 0:
+        if self.start_step < 0 or self.recover_after < 0:
             raise ValueError("step parameters must be non-negative")
 
     def matches(self, site: str) -> bool:
@@ -150,11 +140,8 @@ class _SpecState:
 class FaultInjector:
     """Executes a :class:`FaultPlan` at instrumented call sites."""
 
-    def __init__(
-        self, plan: FaultPlan, *, clock: Optional[StepClock] = None
-    ) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.clock = clock if clock is not None else StepClock()
         self._states = [
             _SpecState(spec, plan.seed, index)
             for index, spec in enumerate(plan.specs)
@@ -192,9 +179,6 @@ class FaultInjector:
             self._raise(spec, site)
 
     def _raise(self, spec: FaultSpec, site: str) -> None:
-        if spec.kind == "slow":
-            self.clock.advance(spec.slow_steps)
-            return
         message = f"injected {spec.kind} fault at {site}"
         if spec.kind == "io":
             raise TransientIOError(message, hint="retryable")
@@ -255,13 +239,3 @@ def installed(injector: FaultInjector) -> Iterator[FaultInjector]:
         yield injector
     finally:
         _ACTIVE = previous
-
-
-def sites_from_rates(
-    rates: Dict[str, float], *, kind: str = "io"
-) -> List[FaultSpec]:
-    """Convenience: one ``kind`` spec per ``{site: probability}``."""
-    return [
-        FaultSpec(site=site, kind=kind, probability=p)
-        for site, p in sorted(rates.items())
-    ]

@@ -30,13 +30,11 @@ kernel, none of which changes a single answer:
 * the **fault-tolerance layer** over that tier — the
   :class:`ShardWorkerPool` supervises its workers (logical reply
   deadlines, typed :class:`~repro.errors.ShardWorkerError`,
-  deterministic respawn), :class:`ShardWAL` journals every shard
-  mutation with periodic checkpoints so a respawned worker replays
-  back to a bit-identical histogram (:func:`attach_wals` /
-  :func:`wal_recovery`), and :class:`ShardHealth` drives the router's
-  per-shard quarantine state machine (healthy → suspect → quarantined
-  → recovering) with degraded ``Uniform@s<id>`` partials for shards
-  it cannot reach.
+  deterministic respawn from the parent's authoritative shard copies,
+  so a respawned worker holds a bit-identical histogram), and
+  :class:`ShardHealth` drives the router's per-shard quarantine state
+  machine (healthy → suspect → quarantined → recovering) with degraded
+  ``Uniform@s<id>`` partials for shards it cannot reach.
 
 The serving fast paths are locked down by a differential test suite:
 batch equals the scalar loop to exact float equality, a ``workers=4``
@@ -66,7 +64,6 @@ from .shard import (
     shard_quotas,
 )
 from .supervision import HEALTH_STATES, ShardHealth
-from .wal import ShardWAL, attach_wals, wal_recovery
 
 __all__ = [
     "MicroBatcher",
@@ -85,7 +82,4 @@ __all__ = [
     "shard_quotas",
     "ShardHealth",
     "HEALTH_STATES",
-    "ShardWAL",
-    "attach_wals",
-    "wal_recovery",
 ]

@@ -28,8 +28,7 @@ specific worker (any worker may pick up any task), so the pool runs
 one long-lived ``multiprocessing.Process`` per slot, connected by a
 pipe.  Each shard object is explicitly ``pickle.dumps``-ed to its
 worker at startup — never smuggled in through a fork snapshot — so
-whatever state survives pickling is exactly the state that serves
-(the shard's ``__getstate__`` drops its WAL handle on this boundary).
+whatever state survives pickling is exactly the state that serves.
 Replies are received in request order over per-worker FIFO pipes, and
 worker metric snapshots are merged in that same order, so results and
 counter totals are independent of scheduling.
@@ -41,14 +40,13 @@ the liveness poll interval, never in any result — and watches the
 worker's exitcode, so a SIGKILLed or wedged worker surfaces as a typed
 :class:`~repro.errors.ShardWorkerError` instead of a hung ``recv``.
 A failed worker is **respawned deterministically** in its slot: its
-shards are rebuilt through the pool's recovery callable (checkpoint +
-write-ahead-log replay, see :mod:`repro.serving.wal`) when one was
-given, else re-pickled from the caller's authoritative copies, and a
-fresh process takes over the same pipe slot.  In-flight requests on
-the dead worker fail fast with the same typed error (never silently
-dropped, never served stale replies — the slot's pipe is replaced), so
-the router above can retry against the respawned worker or serve the
-shard degraded.
+shards are re-pickled from the caller's authoritative copies — the
+parent's shards, which already hold every mutation and tuned layout
+the worker was sent — and a fresh process takes over the same pipe
+slot.  In-flight requests on the dead worker fail fast with the same
+typed error (never silently dropped, never served stale replies — the
+slot's pipe is replaced), so the router above can retry against the
+respawned worker or serve the shard degraded.
 """
 
 from __future__ import annotations
@@ -217,17 +215,13 @@ class ShardWorkerPool:
     ----------
     shards:
         Mapping of shard id → shard object.  Each object is pickled
-        to its worker at startup; shard ``i`` (in ascending id order)
-        lives on worker ``i % workers`` forever after.
+        to its worker at startup and again whenever the worker is
+        respawned, so the caller must keep these copies authoritative
+        (apply every cast to them first), as the router does.  Shard
+        ``i`` (in ascending id order) lives on worker ``i % workers``
+        forever after.
     workers:
         Process count (clamped to the shard count).
-    recover:
-        Optional shard id → fresh shard callable used when a worker is
-        respawned (the WAL checkpoint-and-replay path,
-        :func:`repro.serving.wal.wal_recovery`).  When omitted, the
-        original objects in ``shards`` are re-pickled — valid whenever
-        the caller keeps those copies authoritative, as the router
-        does.
     budget_steps:
         Logical step budget per reply wait (``None`` = unlimited,
         which re-opens the hang-forever hole and is only for tests).
@@ -240,7 +234,6 @@ class ShardWorkerPool:
         shards: Mapping[int, Any],
         *,
         workers: int,
-        recover: Optional[Callable[[int], Any]] = None,
         budget_steps: Optional[int] = DEFAULT_REPLY_BUDGET_STEPS,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
     ) -> None:
@@ -256,7 +249,6 @@ class ShardWorkerPool:
         self._shards: Dict[int, Any] = {
             sid: shards[sid] for sid in ids
         }
-        self._recover = recover
         self._budget_steps = budget_steps
         self._poll_interval = poll_interval
         self._clock = StepClock()
@@ -301,7 +293,7 @@ class ShardWorkerPool:
         """Live worker process ids, by worker index.
 
         The chaos harness kills these with SIGKILL to prove the
-        supervision/replay path; anything else should treat them as
+        supervision/respawn path; anything else should treat them as
         opaque.
         """
         return [
@@ -315,11 +307,10 @@ class ShardWorkerPool:
     def respawn(self, worker: int) -> None:
         """Replace worker ``worker`` with a fresh process.
 
-        Deterministic: the slot keeps its shard set; each shard is
-        rebuilt through the recovery callable (checkpoint + WAL
-        replay) when one was given, else re-pickled from the caller's
-        authoritative copies.  The old process is terminated (then
-        killed) if still alive, so a wedged worker cannot leak.
+        Deterministic: the slot keeps its shard set, re-pickled from
+        the caller's authoritative copies.  The old process is
+        terminated (then killed) if still alive, so a wedged worker
+        cannot leak.
         """
         if self._conns is None:
             raise RuntimeError("pool is closed")
@@ -334,10 +325,6 @@ class ShardWorkerPool:
             self._conns[worker].close()
         except OSError:
             pass
-        if self._recover is not None:
-            for sid, w in self._worker_of.items():
-                if w == worker:
-                    self._shards[sid] = self._recover(sid)
         conn, proc = self._spawn(worker)
         self._conns[worker] = conn
         self._procs[worker] = proc
@@ -354,7 +341,7 @@ class ShardWorkerPool:
             f"{reason}",
             hint=(
                 f"{pending} request(s) were pending on the worker; "
-                "it was respawned from its shards' checkpoints/WAL — "
+                "it was respawned from the parent's shard copies — "
                 "retry the request or serve the shard degraded"
             ),
         )
@@ -536,8 +523,8 @@ class ShardWorkerPool:
         metrics: the caller already applied — and counted — the same
         operation on its own copy of the shard.  A dead worker is
         respawned instead of re-sent to: the caller applied the
-        mutation before casting, so recovery (WAL replay or the
-        authoritative copy) already contains it and re-sending would
+        mutation before casting, so the authoritative copy the
+        respawn re-pickles already contains it and re-sending would
         double-apply."""
         if self._conns is None:
             raise RuntimeError("pool is closed")

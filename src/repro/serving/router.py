@@ -33,15 +33,16 @@ same four steps.
 **Fault tolerance.**  Every consulted shard is served under the
 supervision policy: the pool bounds each reply wait with a logical
 deadline (a dead or wedged worker surfaces as a typed
-:class:`~repro.errors.ShardWorkerError` and is respawned, replaying
-its write-ahead log); a failed shard dispatch is retried under the
-router's :class:`~repro.resilience.RetryPolicy` with deterministic
-backoff on the router's step clock; and each shard's consecutive
-failures drive its :class:`~repro.serving.supervision.ShardHealth`
-quarantine state machine (healthy → suspect → quarantined →
-recovering).  A quarantined shard — or one that exhausted its retries
-— is served by its **degraded partial**: the shard's ``Uniform@s<id>``
-last resort over its clipped rows, computed parent-side.  The batch
+:class:`~repro.errors.ShardWorkerError` and is respawned from the
+parent's copy of its shards); a failed shard dispatch is retried
+under the router's :class:`~repro.resilience.RetryPolicy` with
+deterministic backoff on the router's step clock; and each shard's
+consecutive failures drive its
+:class:`~repro.serving.supervision.ShardHealth` quarantine state
+machine (healthy → suspect → quarantined → recovering).  A
+quarantined shard — or one that exhausted its retries — is served by
+its **degraded partial**: the shard's ``Uniform@s<id>`` last resort
+over its clipped rows, computed parent-side.  The batch
 therefore always completes with a well-defined answer; the shards that
 were served degraded are annotated on
 :attr:`ShardRouter.degraded_shards` after every serve.  Each consulted
@@ -50,10 +51,11 @@ kernel included, so chaos plans can fail specific shards
 deterministically.
 
 Mutations route to the owning shard only; in pooled mode they are also
-forwarded to the worker holding that shard (the parent keeps an
-authoritative copy for routing boxes and ownership, the worker holds
-the serving state — both replay the identical per-shard operation
-stream, so the two copies cannot diverge).
+forwarded to the worker holding that shard, and so are tuned layouts.
+The parent's copy is authoritative: it sees every mutation and tuned
+layout first, serves routing boxes, ownership and degraded partials,
+and is what a respawned worker is re-pickled from, so a worker's copy
+never diverges from it.
 
 Counters (``serving.shard.*``): ``requests`` (serves; a scalar query
 is a one-row serve), ``queries`` (rows served), ``fanout`` (shards a
@@ -117,10 +119,6 @@ class ShardRouter(SelectivityEstimator):
         long-lived worker processes and sub-batches are fanned out.
         A pooled router serves inline once :meth:`close` has shut its
         pool down.
-    recover:
-        Shard id → fresh shard callable handed to the pool for worker
-        respawns (:func:`repro.serving.wal.wal_recovery`); ``None``
-        re-pickles the parent's authoritative copies.
     retry:
         Per-shard retry policy for retryable dispatch failures.
     budget_steps / poll_interval:
@@ -136,7 +134,6 @@ class ShardRouter(SelectivityEstimator):
         sharded: ShardedHistogram,
         *,
         workers: int = 1,
-        recover: Optional[Any] = None,
         retry: Optional[RetryPolicy] = None,
         budget_steps: Optional[int] = DEFAULT_REPLY_BUDGET_STEPS,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
@@ -170,7 +167,6 @@ class ShardRouter(SelectivityEstimator):
             self._pool = ShardWorkerPool(
                 {s.shard_id: s for s in shards},
                 workers=self.workers,
-                recover=recover,
                 budget_steps=budget_steps,
                 poll_interval=poll_interval,
             )

@@ -13,6 +13,12 @@ inline, the router reads the same snapshots
 (:meth:`~repro.estimators.BucketEstimator.kernel`) and evaluates the
 whole tier's buckets in one pass instead.
 
+A pool worker's shard is a pickle of the parent's copy, which stays
+authoritative: the router applies every mutation and tuned layout to
+it before forwarding the same call to the worker, and a respawned
+worker is re-pickled from it.  :meth:`HistogramShard.state_digest`
+checks that the two copies agree bit for bit.
+
 **Min-Skew is the shard-boundary algorithm.**  :class:`ShardPlan` runs
 the paper's own partitioner with a bucket quota of ``K``: the top-level
 greedy cuts minimise spatial skew, which is exactly the load-balance
@@ -54,8 +60,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, \
-    Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -72,9 +77,6 @@ from ..estimators import (
 from ..geometry import Rect, RectSet, validate_extent
 from ..partitioners.base import Partitioner
 from ..tuning import FeedbackTuner, TuningReport
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .wal import ShardWAL
 
 __all__ = [
     "ShardPlan",
@@ -257,19 +259,16 @@ class HistogramShard:
         data: RectSet,
         *,
         drift_threshold: float = 0.2,
-        auto_refresh: bool = True,
     ) -> None:
         self.shard_id = shard_id
         self.box = box
         self._partitioner = partitioner
         self._drift_threshold = drift_threshold
-        self._auto_refresh = auto_refresh
         self._epoch_base = 0
         self.hist: Optional[MaintainedHistogram] = None
         self.estimator: Optional[MaintainedEstimator] = None
         self._routing_epoch = -1
         self._routing_box: Optional[Rect] = None
-        self._wal: Optional["ShardWAL"] = None
         self._degraded_est: Optional[UniformEstimator] = None
         self._degraded_epoch = -1
         if len(data) > 0:
@@ -338,7 +337,6 @@ class HistogramShard:
         else:
             self.hist.insert(rect)
             self._maybe_refresh()
-        self._log_op("insert", rect)
 
     def delete(self, rect: Rect) -> bool:
         if self.hist is None:
@@ -346,7 +344,6 @@ class HistogramShard:
         accepted = self.hist.delete(rect)
         if accepted:
             self._maybe_refresh()
-            self._log_op("delete", rect)
         return accepted
 
     def apply_op(self, kind: str, rect: Rect) -> bool:
@@ -357,11 +354,7 @@ class HistogramShard:
         return self.delete(rect)
 
     def _maybe_refresh(self) -> None:
-        if (
-            self._auto_refresh
-            and self.hist is not None
-            and self.hist.needs_refresh
-        ):
+        if self.hist is not None and self.hist.needs_refresh:
             self.hist.refresh()
 
     def tune(
@@ -381,10 +374,8 @@ class HistogramShard:
         epoch bump), which the shard :attr:`epoch`, the
         :meth:`routing_box` cache, the estimator's ``sync()``, and any
         union reference all pick up through the normal staleness
-        machinery.  Deliberately not WAL-journaled: a tuned layout
-        lost to a crash is re-derivable from future feedback, while
-        recovery restores a bit-consistent pre-tune snapshot.
-        Returns ``None`` for a shard that has no histogram yet.
+        machinery.  Returns ``None`` for a shard that has no histogram
+        yet.
         """
         if self.hist is None:
             return None
@@ -402,101 +393,26 @@ class HistogramShard:
         to the owning worker so both copies publish the identical
         buckets through :meth:`replace_buckets` — one epoch bump on
         each side, no recomputation, no chance of the replica's
-        hill-climb diverging.  Like :meth:`tune`, deliberately not
-        WAL-journaled.  A shard with no histogram ignores the adopt.
+        hill-climb diverging.  A shard with no histogram ignores the
+        adopt.
         """
         if self.hist is None:
             return
         self.hist.replace_buckets(list(buckets))
 
-    # ------------------------------------------------------------------
-    # write-ahead logging + recovery
-    # ------------------------------------------------------------------
-    def attach_wal(self, wal: "ShardWAL") -> None:
-        """Journal every accepted mutation from now on.
+    def state_digest(self) -> str:
+        """SHA-256 over the shard's mutable state (epoch base plus
+        :meth:`~repro.core.maintenance.MaintainedHistogram.state`).
 
-        Only the authoritative (parent) copy holds a WAL: worker
-        copies drop the handle at the pickle boundary, so each
-        mutation is journaled exactly once.
-        """
-        self._wal = wal
-
-    def _log_op(self, kind: str, rect: Rect) -> None:
-        if self._wal is not None:
-            self._wal.record(kind, rect)
-            self._wal.maybe_checkpoint(self)
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        """JSON-serialisable full mutable state (checkpoint body)."""
-        hist_state = (
-            self.hist.state() if self.hist is not None else None
-        )
-        return {
+        The pooled tier's bit-identity gate: a worker's copy must
+        digest equal to the parent's authoritative copy."""
+        state = {
             "shard_id": self.shard_id,
             "epoch_base": self._epoch_base,
-            "hist": hist_state,
+            "hist": self.hist.state() if self.hist is not None else None,
         }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Restore a :meth:`snapshot_state` capture bit-identically.
-
-        The histogram is rebuilt via
-        :meth:`~repro.core.maintenance.MaintainedHistogram.from_state`
-        (no re-partitioning — drifted bucket statistics are restored
-        verbatim) and the estimator re-created around it; routing
-        boxes and degraded estimators start cold and rebuild on demand.
-        """
-        self._epoch_base = int(state["epoch_base"])
-        hist_state = state["hist"]
-        if hist_state is None:
-            self.hist = None
-            self.estimator = None
-        else:
-            self.hist = MaintainedHistogram.from_state(
-                self._partitioner, hist_state,
-                drift_threshold=self._drift_threshold,
-            )
-            self.estimator = MaintainedEstimator(
-                self.hist, name=self._partitioner.name
-            )
-        self._routing_epoch = -1
-        self._routing_box = None
-        self._degraded_est = None
-        self._degraded_epoch = -1
-
-    def state_digest(self) -> str:
-        """SHA-256 over the canonical snapshot (the bit-identity
-        gate: a recovered worker copy must digest equal to the
-        authoritative copy)."""
-        body = json.dumps(
-            self.snapshot_state(), sort_keys=True,
-            separators=(",", ":"),
-        )
+        body = json.dumps(state, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(body.encode("utf-8")).hexdigest()
-
-    def clone_unbuilt(self) -> "HistogramShard":
-        """A fresh, empty shard with this shard's configuration —
-        the recovery template :meth:`ShardWAL.recover` fills in."""
-        return HistogramShard(
-            self.shard_id,
-            self.box,
-            self._partitioner,
-            RectSet.empty(),
-            drift_threshold=self._drift_threshold,
-            auto_refresh=self._auto_refresh,
-        )
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """Drop the WAL handle at the pickle boundary: a worker copy
-        replays mutations that the parent already journaled, and must
-        never journal them again."""
-        state = dict(self.__dict__)
-        state["_wal"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._wal = None
 
     # ------------------------------------------------------------------
     # degraded serving (the quarantine partial)
@@ -559,7 +475,6 @@ class ShardedHistogram:
         plan_regions: int = DEFAULT_PLAN_REGIONS,
         n_regions: int = 2_500,
         drift_threshold: float = 0.2,
-        auto_refresh: bool = True,
     ) -> "ShardedHistogram":
         """Plan the shard boxes and build one live summary each.
 
@@ -600,7 +515,6 @@ class ShardedHistogram:
                     factory(quota),
                     sub,
                     drift_threshold=drift_threshold,
-                    auto_refresh=auto_refresh,
                 )
             )
         name = shards[0]._partitioner.name if shards else "Sharded"

@@ -14,9 +14,10 @@ Covers, in ISSUE order:
 * **baseline**: write/load/apply round-trip and corruption errors;
 * **CLI**: the ``--project``/``--baseline``/``--sarif`` surface;
 * **the real tree**: ``src/`` lints clean under the project pass;
-* **mutation self-test**: deleting the ``sync()`` call or the
-  ``__setstate__`` hook from a copy of the source tree flips the
-  project pass non-zero — proof the rules guard what they claim to.
+* **mutation self-test**: deleting the ``sync()`` call, or giving a
+  pickled class a ``__getstate__`` without ``__setstate__``, in a
+  copy of the source tree flips the project pass non-zero — proof
+  the rules guard what they claim to.
 """
 
 import ast
@@ -977,23 +978,31 @@ class TestMutationSelfTest:
         )
 
     def test_removing_setstate_fires_pickle001(self, tree_copy):
+        """``HistogramShard`` is pickled to pool workers and defines
+        neither hook; the mutant gives it a ``__getstate__`` whose
+        ``__setstate__`` is missing."""
         shard = tree_copy / "serving" / "shard.py"
         source = shard.read_text()
         tree = ast.parse(source)
-        span = None
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) \
-                    and node.name == "HistogramShard":
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) \
-                            and item.name == "__setstate__":
-                        span = (item.lineno, item.end_lineno)
-        assert span is not None, (
-            "HistogramShard no longer defines __setstate__; update "
-            "this test alongside the shard"
+        cls = next(
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and node.name == "HistogramShard"
+        )
+        assert not any(
+            isinstance(item, ast.FunctionDef)
+            and item.name in ("__getstate__", "__setstate__")
+            for item in cls.body
+        ), (
+            "HistogramShard defines a pickle hook again; update this "
+            "test alongside the shard"
         )
         lines = source.splitlines(keepends=True)
-        del lines[span[0] - 1:span[1]]
+        lines.insert(cls.end_lineno, (
+            "\n"
+            "    def __getstate__(self):\n"
+            "        return dict(self.__dict__)\n"
+        ))
         shard.write_text("".join(lines))
         result = lint_project([tree_copy])
         pickled = [

@@ -19,7 +19,6 @@ from repro.resilience import (
     active_injector,
     fire,
     installed,
-    sites_from_rates,
 )
 
 
@@ -92,15 +91,6 @@ class TestFaultInjector:
             with pytest.raises(exc):
                 injector.fire("s")
 
-    def test_slow_fault_advances_clock_without_raising(self):
-        clock = StepClock()
-        injector = FaultInjector(
-            FaultPlan(0, (FaultSpec("s", kind="slow", slow_steps=7),)),
-            clock=clock,
-        )
-        injector.fire("s")
-        assert clock.now() == 7
-
     def test_same_seed_same_injections(self):
         plan = FaultPlan(123, (FaultSpec("a", probability=0.3),
                                FaultSpec("b", probability=0.6)))
@@ -154,11 +144,6 @@ class TestFaultInjector:
                 assert active_injector() is inner
             assert active_injector() is outer
         assert active_injector() is None
-
-    def test_sites_from_rates(self):
-        specs = sites_from_rates({"b": 0.5, "a": 0.1}, kind="fail")
-        assert [s.site for s in specs] == ["a", "b"]
-        assert all(s.kind == "fail" for s in specs)
 
 
 # ----------------------------------------------------------------------

@@ -58,7 +58,7 @@ class TestShardedChaos:
         plan = FaultPlan(0, (FaultSpec("serving.worker.s0", kind="fail"),))
 
         def serve():
-            with installed(FaultInjector(plan, clock=router._clock)):
+            with installed(FaultInjector(plan)):
                 return router.estimate_batch(queries)
 
         values, counters = capture(serve)
@@ -199,3 +199,26 @@ class TestChaosCommand:
         assert report["requests"] == 3  # one batch per 25 queries
         assert report["survived"] == report["requests"]
         assert report["recovered_matches"] is True
+
+    def test_regions_reach_the_experiment_unclamped(
+        self, monkeypatch, capsys
+    ):
+        from repro.cli import main
+        from repro.resilience import chaos
+
+        seen = []
+
+        def capture(config):
+            seen.append(config)
+            return chaos.WorkerKillReport(
+                requests=1, survived=1, kills=0, respawns=0,
+                degraded_dispatches=0, fanout=0,
+                recovered_matches=True, digests_match=True,
+                estimates_sha256="", plan_seed=config.plan_seed,
+            )
+
+        monkeypatch.setattr(chaos, "run_worker_kill_chaos", capture)
+        assert main(["chaos", "--n", "600", "--regions", "600"]) == 0
+        assert main(["chaos", "--n", "600"]) == 0
+        capsys.readouterr()
+        assert [c.n_regions for c in seen] == [600, 512]

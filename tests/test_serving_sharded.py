@@ -229,10 +229,7 @@ class TestFusedTierDifferential:
                 router.insert(DATA[int(row)])
             return sharded, router
         if case == "emptied":
-            sharded = _build(
-                n_shards=n_shards, drift_threshold=1.0,
-                auto_refresh=False,
-            )
+            sharded = _build(n_shards=n_shards, drift_threshold=1.0)
             router = ShardRouter(sharded)
             victim = max(sharded.shards, key=len)
             for row in list(victim.hist.current_data()):
@@ -317,7 +314,7 @@ class TestFusedTierDifferential:
             f"serving.worker.s{sick.shard_id}", kind="fail",
             probability=1.0,
         ),))
-        with installed(FaultInjector(plan, clock=router._clock)):
+        with installed(FaultInjector(plan)):
             # first serve fails the dispatch; the second finds the
             # shard quarantined and never dispatches it
             for _ in range(2):
@@ -381,7 +378,7 @@ class TestRoutingBehaviour:
             )
             for sid in missed
         ))
-        with installed(FaultInjector(plan, clock=router._clock)):
+        with installed(FaultInjector(plan)):
             served = router.estimate_batch(queries)
         assert router.degraded_shards == ()
         np.testing.assert_array_equal(
@@ -674,7 +671,7 @@ class TestEmptyAndDegenerateShards:
         data = self._cluster_data()
         sharded = ShardedHistogram.build(
             data, n_shards=2, n_buckets=8, n_regions=64,
-            drift_threshold=1.0, auto_refresh=False,
+            drift_threshold=1.0,
         )
         victim = sharded.shards[0]
         assert len(victim) > 0

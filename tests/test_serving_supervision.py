@@ -6,10 +6,10 @@ Covers the supervision stack end to end:
   :class:`ShardWorkerError` (never a hang) and is respawned; a
   SIGSTOPped (wedged) worker runs the reply deadline out the same
   way; ``close()`` is idempotent and survives pre-killed workers;
-* **WAL + checkpoint replay** — a shard recovered through
-  :func:`wal_recovery` is *bit-identical* to the authoritative copy
-  (state digests and served answers), including across refresh
-  decisions replayed mid-stream;
+* **respawn from the parent's copy** — a worker respawned after a
+  mutation stream, or after a tuning pass, holds shards
+  *bit-identical* to the parent's authoritative copies (state
+  digests and served answers);
 * **quarantine** — the :class:`ShardHealth` state machine walks
   healthy → suspect → quarantined → recovering → healthy on the
   logical clock, and the router serves quarantined shards by their
@@ -52,8 +52,6 @@ from repro.serving import (
     ShardedHistogram,
     ShardHealth,
     ShardRouter,
-    attach_wals,
-    wal_recovery,
 )
 from repro.workload import live_workload, range_queries
 
@@ -206,68 +204,23 @@ class TestWorkerSupervision:
 
 
 # ----------------------------------------------------------------------
-# WAL + checkpoint replay
+# respawn from the parent's authoritative copy
 # ----------------------------------------------------------------------
-class TestWALReplay:
-    def test_recovery_is_bit_identical(self, tmp_path):
-        sharded = _build()
-        wals = attach_wals(sharded, tmp_path, checkpoint_every=4)
-        for op in _mutations(60):
-            if op.kind == "insert":
-                sharded.insert(op.rect)
-            else:
-                sharded.delete(op.rect)
-        recover = wal_recovery(sharded, wals)
-        for shard in sharded.shards:
-            fresh = recover(shard.shard_id)
-            assert fresh.state_digest() == shard.state_digest()
-            assert fresh.epoch == shard.epoch
-            clipped = QUERIES.coords.copy()
-            assert np.array_equal(
-                fresh.estimate_batch_coords(clipped),
-                shard.estimate_batch_coords(clipped),
-            )
+def _kill_every_worker(pool):
+    for pid in pool.worker_pids():
+        os.kill(pid, signal.SIGKILL)
+    for proc in pool._procs:
+        proc.join(timeout=10)
 
-    def test_checkpoint_folds_replay_tail(self, tmp_path):
-        sharded = _build()
-        wals = attach_wals(sharded, tmp_path, checkpoint_every=4)
-        ops = _mutations(10)
-        for op in ops:
-            if op.kind == "insert":
-                sharded.insert(op.rect)
-            else:
-                sharded.delete(op.rect)
-        for shard in sharded.shards:
-            wal = wals[shard.shard_id]
-            # a fresh checkpoint truncates the record tail entirely
-            wal.checkpoint(shard)
-            assert wal.replayable_ops() == 0
-            fresh = shard.clone_unbuilt()
-            assert wal.recover(fresh) == 0
-            assert fresh.state_digest() == shard.state_digest()
 
-    def test_wal_recovery_accepts_the_log_directory(self, tmp_path):
-        # A restarted process has no live ShardWAL handles — only the
-        # directory.  The directory form must recover identically.
-        sharded = _build()
-        attach_wals(sharded, tmp_path, checkpoint_every=4)
-        for op in _mutations(30):
-            if op.kind == "insert":
-                sharded.insert(op.rect)
-            else:
-                sharded.delete(op.rect)
-        recover = wal_recovery(sharded, tmp_path)
-        for shard in sharded.shards:
-            fresh = recover(shard.shard_id)
-            assert fresh.state_digest() == shard.state_digest()
-            assert fresh.epoch == shard.epoch
+class TestRespawnRecovery:
+    """A respawned worker is re-pickled from the parent's copy, which
+    already holds every mutation and tuned layout."""
 
-    def test_pooled_serving_after_kills_matches_union(self, tmp_path):
+    def test_pooled_serving_after_kills_matches_union(self):
         sharded = _build()
-        wals = attach_wals(sharded, tmp_path, checkpoint_every=4)
         with ShardRouter(
             sharded, workers=2,
-            recover=wal_recovery(sharded, wals),
             budget_steps=400, poll_interval=0.005,
         ) as router:
             before = router.estimate_batch(QUERIES)
@@ -276,10 +229,7 @@ class TestWALReplay:
                     router.insert(op.rect)
                 else:
                     router.delete(op.rect)
-            for pid in router._pool.worker_pids():
-                os.kill(pid, signal.SIGKILL)
-            for proc in router._pool._procs:
-                proc.join(timeout=10)
+            _kill_every_worker(router._pool)
             after = router.estimate_batch(QUERIES)
             assert router.degraded_shards == ()
             reference = sharded.union_estimator() \
@@ -288,6 +238,33 @@ class TestWALReplay:
             assert not np.array_equal(before, after), (
                 "the mutation stream should have moved the answers; "
                 "the recovery gate would be vacuous otherwise"
+            )
+            for shard in sharded.shards:
+                assert router._pool.call(
+                    shard.shard_id, "state_digest"
+                ) == shard.state_digest()
+
+    def test_tuned_layout_survives_killing_every_worker(self):
+        sharded = _build()
+        with ShardRouter(
+            sharded, workers=2,
+            budget_steps=400, poll_interval=0.005,
+        ) as router:
+            for op in _mutations(20):
+                if op.kind == "insert":
+                    router.insert(op.rect)
+                else:
+                    router.delete(op.rect)
+            reports = router.tune(range_queries(DATA, 0.05, 80, seed=4))
+            assert any(
+                r is not None and r.applied and r.splits > 0
+                for r in reports
+            ), "no shard re-shaped its layout; the gate would be vacuous"
+            _kill_every_worker(router._pool)
+            served = router.estimate_batch(QUERIES)
+            assert router.degraded_shards == ()
+            assert np.array_equal(
+                served, sharded.union_estimator().estimate_batch(QUERIES)
             )
             for shard in sharded.shards:
                 assert router._pool.call(
@@ -333,7 +310,7 @@ class TestQuarantine:
             FaultSpec("serving.worker.s0", kind="io",
                       probability=1.0),
         ))
-        injector = FaultInjector(plan, clock=router._clock)
+        injector = FaultInjector(plan)
         with OBS.scope():
             OBS.reset()
             with installed(injector):
@@ -366,7 +343,7 @@ class TestQuarantine:
             FaultSpec("serving.worker.s0", kind="io",
                       probability=1.0),
         ))
-        injector = FaultInjector(plan, clock=router._clock)
+        injector = FaultInjector(plan)
         with installed(injector):
             router.estimate_batch(QUERIES)
         assert router.health()[0] == "quarantined"
@@ -409,7 +386,7 @@ class TestPartialResultIntegrity:
                       probability=1.0)
             for sid in sorted(failed)
         ))
-        injector = FaultInjector(plan, clock=router._clock)
+        injector = FaultInjector(plan)
         with OBS.scope():
             OBS.reset()
             with installed(injector):
