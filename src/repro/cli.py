@@ -432,9 +432,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """``chaos``: SIGKILL sharded-tier workers mid-stream.
 
-    Exit 0 iff every query batch survived AND the recovered tier is
-    bit-identical to the union reference (answers and per-shard state
-    digests) — the fault-tolerance acceptance gate.
+    Exit 0 iff every query batch survived AND the recovered tier
+    answers bit-identically to the union reference — the
+    fault-tolerance acceptance gate.
     """
     import json as _json
 

@@ -81,33 +81,6 @@ class MaintainedHistogram:
         self._uncovered = 0
         self._epoch = 0
 
-    def state(self) -> dict:
-        """JSON-serialisable snapshot of the full mutable state.
-
-        Bucket rows use the :func:`repro.storage.persist.save_buckets`
-        layout (``[x1, y1, x2, y2, count, avg_w, avg_h, avg_density]``);
-        Python floats serialise to JSON exactly, so two histograms
-        whose snapshots serialise equal are bit-identical — the
-        comparison behind the sharded tier's
-        :meth:`~repro.serving.HistogramShard.state_digest`.
-        """
-        return {
-            "epoch": self._epoch,
-            "modifications": self._modifications,
-            "uncovered": self._uncovered,
-            "buckets": [
-                [
-                    b.bbox.x1, b.bbox.y1, b.bbox.x2, b.bbox.y2,
-                    int(b.count), b.avg_width, b.avg_height,
-                    b.avg_density,
-                ]
-                for b in self.buckets
-            ],
-            "rows": [
-                [float(v) for v in row] for row in self._rows
-            ],
-        }
-
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------

@@ -65,7 +65,6 @@ from ..estimators import (
     BucketEstimator, MaintainedEstimator, SelectivityEstimator,
 )
 from ..eval.metrics import error_summary
-from ..resilience.chaos import WorkerKillConfig, run_worker_kill_chaos
 from ..serving import ShardedHistogram, ShardRouter, parallel_map
 from ..storage.checkpoint import CheckpointStore, config_fingerprint
 from ..storage.persist import atomic_write_text
@@ -833,13 +832,6 @@ class _Sharded(_Stack):
     through the router; ``sharded.owner_only_invalidation`` records
     whether every mutation moved the owning shard's epoch *only*, and
     the gate is re-checked over the post-stream state.
-
-    ``sharded.recovery`` is a worker-kill chaos run over a fresh
-    pooled tier (SIGKILLed workers, respawned from the parent's shard
-    copies): request survival, kills, respawns, the degraded-dispatch
-    fraction, and whether the recovered tier matched the union
-    reference bit-for-bit.  Every field is logical, so the
-    block is stable across machines.
     """
 
     block = "sharded"
@@ -847,7 +839,6 @@ class _Sharded(_Stack):
     stream = "after"
 
     def build(self, data: RectSet) -> None:
-        self.data = data
         self.sharded = _sharded(self.technique, data, self.config)
         self.backend = self.router = ShardRouter(
             self.sharded, workers=self.config.shard_workers
@@ -912,41 +903,7 @@ class _Sharded(_Stack):
                 run.counters.get("serving.shard.routed_mutations", 0)
             ),
             "sharded_matches": self.matches,
-            "recovery": self._recovery(),
         }}
-
-    def _recovery(self) -> Dict[str, Any]:
-        # the chaos harness resets the global OBS registry, so this
-        # runs after the window; the bench router's pool goes first
-        self.router.close()
-        config = self.config
-        n_regions = min(config.n_regions, 512)
-        report = run_worker_kill_chaos(
-            WorkerKillConfig(
-                n_shards=config.n_shards,
-                n_buckets=config.n_buckets,
-                n_regions=n_regions,
-                workers=max(2, config.shard_workers),
-                n_batches=6,
-                batch_size=25,
-                qsize=config.qsize,
-                query_seed=config.query_seed,
-            ),
-            data=self.data,
-            partitioner_factory=lambda quota: build_partitioner(
-                self.technique, quota, n_regions=n_regions
-            ),
-        )
-        return {
-            "requests": report.requests,
-            "survived": report.survived,
-            "kills": report.kills,
-            "respawns": report.respawns,
-            "degraded_fraction": report.degraded_fraction,
-            "recovered_matches": (
-                report.recovered_matches and report.digests_match
-            ),
-        }
 
     def close(self) -> None:
         self.router.close()
@@ -1208,8 +1165,7 @@ def gate_failures(fields: Dict[str, Any], prefix: str = "") -> List[str]:
 
     Returns dotted field paths (``"sharded.sharded_matches"``), empty
     when every gate holds.  The gates are the bit-for-bit ``*_matches``
-    differentials, ``owner_only_invalidation``, ``count_conserved``,
-    worker-kill survival (``recovery.survived == recovery.requests``)
+    differentials, ``owner_only_invalidation``, ``count_conserved``
     and the tuned cell's ``improvement > 0``; no timing field is one.
     """
     failed = [
@@ -1218,8 +1174,6 @@ def gate_failures(fields: Dict[str, Any], prefix: str = "") -> List[str]:
         if (key.endswith("_matches") or key in _INVARIANTS)
         and value is not True
     ]
-    if "survived" in fields and fields["survived"] != fields["requests"]:
-        failed.append(prefix + "survived")
     if "improvement" in fields and not fields["improvement"] > 0:
         failed.append(prefix + "improvement")
     for key, value in sorted(fields.items()):

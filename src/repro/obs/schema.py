@@ -12,8 +12,8 @@ small in-tree checker, so every environment validates with the same
 rules and the project needs no ``jsonschema`` dependency.  The checker
 implements exactly the keywords the schema uses (``type``, ``const``,
 ``required``, ``properties``, ``additionalProperties``, ``items``,
-``minItems``, ``minLength``, ``minimum``, ``exclusiveMinimum``,
-``maximum``); a schema edit that adds another keyword must extend it.
+``minItems``, ``minLength``, ``minimum``, ``exclusiveMinimum``); a
+schema edit that adds another keyword must extend it.
 """
 
 from __future__ import annotations
@@ -143,28 +143,6 @@ _SHARDED_SCHEMA = {
         "shard_epoch_bumps": _INT_LIST_SCHEMA,
         "routed_mutations": {"type": "integer", "minimum": 0},
         "sharded_matches": {"type": "boolean"},
-        # optional (newer artifacts): the worker-kill recovery cell
-        "recovery": {
-            "type": "object",
-            "required": [
-                "requests",
-                "survived",
-                "kills",
-                "respawns",
-                "degraded_fraction",
-                "recovered_matches",
-            ],
-            "properties": {
-                "requests": {"type": "integer", "minimum": 0},
-                "survived": {"type": "integer", "minimum": 0},
-                "kills": {"type": "integer", "minimum": 0},
-                "respawns": {"type": "integer", "minimum": 0},
-                "degraded_fraction": {
-                    "type": "number", "minimum": 0, "maximum": 1,
-                },
-                "recovered_matches": {"type": "boolean"},
-            },
-        },
     },
 }
 
@@ -442,6 +420,3 @@ def _check_bounds(value: Any, schema: Dict[str, Any], path: str) -> None:
     if "exclusiveMinimum" in schema:
         _require(value > schema["exclusiveMinimum"],
                  f"{path} must be > {schema['exclusiveMinimum']}")
-    if "maximum" in schema:
-        _require(value <= schema["maximum"],
-                 f"{path} must be <= {schema['maximum']}")

@@ -5,8 +5,8 @@ The fault handling that serves lives in the sharded tier
 (:mod:`repro.serving`): the router retries a failing shard per
 :class:`RetryPolicy`, quarantines it behind a :class:`CircuitBreaker`,
 and answers its part of a query with a ``Uniform@s<id>`` partial,
-while the worker pool respawns dead workers from the parent's copy of
-their shards.  This package supplies the deterministic pieces
+while the worker pool respawns dead workers and sends them their
+shards' kernels again.  This package supplies the deterministic pieces
 that machinery is built from, and :mod:`~repro.resilience.chaos`
 SIGKILLs workers under a seeded plan to prove nothing is lost.
 

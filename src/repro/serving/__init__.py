@@ -15,7 +15,8 @@ kernel, none of which changes a single answer:
   as the shard-boundary algorithm), :class:`ShardedHistogram` (one
   live histogram + kernel snapshot per shard, independent epochs),
   :class:`ShardRouter` (clip, fan out inline or over a
-  :class:`ShardWorkerPool` of pinned workers, sum partials), and
+  :class:`ShardWorkerPool` of pinned workers holding epoch-keyed
+  shard kernels, sum partials), and
   :class:`ShardUnionEstimator` (the single-engine differential
   reference);
 * the **micro-batching front door** — :class:`MicroBatcher` (the
@@ -29,9 +30,10 @@ kernel, none of which changes a single answer:
   batches, bit-identical to calling the served estimator directly;
 * the **fault-tolerance layer** over that tier — the
   :class:`ShardWorkerPool` supervises its workers (logical reply
-  deadlines, typed :class:`~repro.errors.ShardWorkerError`,
-  deterministic respawn from the parent's authoritative shard copies,
-  so a respawned worker holds a bit-identical histogram), and
+  deadlines, typed :class:`~repro.errors.ShardWorkerError`, respawn
+  of an empty worker that is sent its shards' kernels again, and an
+  error reply, never an answer, for an epoch a worker does not hold),
+  and
   :class:`ShardHealth` drives the router's per-shard quarantine state
   machine (healthy → suspect → quarantined → recovering) with degraded
   ``Uniform@s<id>`` partials for shards it cannot reach.

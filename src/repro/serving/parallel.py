@@ -23,15 +23,20 @@ which is also the fallback the callers use on single-CPU boxes.
 module level, not as closures or lambdas.
 
 :class:`ShardWorkerPool` extends the same determinism discipline to
-*stateful* workers.  A ``ProcessPoolExecutor`` cannot pin state to a
+*pinned* workers.  A ``ProcessPoolExecutor`` cannot pin state to a
 specific worker (any worker may pick up any task), so the pool runs
 one long-lived ``multiprocessing.Process`` per slot, connected by a
-pipe.  Each shard object is explicitly ``pickle.dumps``-ed to its
-worker at startup — never smuggled in through a fork snapshot — so
-whatever state survives pickling is exactly the state that serves.
-Replies are received in request order over per-worker FIFO pipes, and
-worker metric snapshots are merged in that same order, so results and
-counter totals are independent of scheduling.
+pipe.  A worker holds no shard: it holds a table of shard kernels
+(:class:`~repro.core.bucket.BucketArrays`, 8 words per bucket) keyed
+by the shard epoch each was snapshotted at.  A request names the
+shard's epoch, and the pool ships the kernel with it only when the
+worker does not already hold that epoch.  The worker answers with
+:func:`~repro.core.bucket.estimate_many_arrays`, the union reference's
+own function, and refuses, with an error reply, a request naming an
+epoch it does not hold.  Replies are received in request order over
+per-worker FIFO pipes, and worker metric snapshots are merged in that
+same order, so results and counter totals are independent of
+scheduling.
 
 **Supervision.**  Workers are mortal.  Every reply wait runs under a
 logical :class:`~repro.resilience.clock.Deadline` on the pool's
@@ -39,26 +44,28 @@ logical :class:`~repro.resilience.clock.Deadline` on the pool's
 the liveness poll interval, never in any result — and watches the
 worker's exitcode, so a SIGKILLed or wedged worker surfaces as a typed
 :class:`~repro.errors.ShardWorkerError` instead of a hung ``recv``.
-A failed worker is **respawned deterministically** in its slot: its
-shards are re-pickled from the caller's authoritative copies — the
-parent's shards, which already hold every mutation and tuned layout
-the worker was sent — and a fresh process takes over the same pipe
-slot.  In-flight requests on the dead worker fail fast with the same
-typed error (never silently dropped, never served stale replies — the
-slot's pipe is replaced), so the router above can retry against the
-respawned worker or serve the shard degraded.
+A failed worker is **respawned** empty in its slot, and the pool
+forgets which kernels it shipped there, so the next request to each
+of its shards ships the current kernel again.  In-flight requests on
+the dead worker fail fast with the same typed error (never silently
+dropped, never served stale replies — the slot's pipe is replaced),
+so the router above can retry against the respawned worker or serve
+the shard degraded.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing.connection import Connection
-from typing import Any, Callable, Dict, List, Mapping, Optional, \
-    Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+import numpy.typing as npt
+
+from ..core.bucket import BucketArrays, estimate_many_arrays
 from ..errors import DeadlineError, ShardWorkerError
+from ..geometry import RectSet
 from ..obs import OBS
 from ..resilience.clock import Deadline, StepClock
 
@@ -143,64 +150,62 @@ def parallel_map(
 
 
 # ----------------------------------------------------------------------
-# pinned stateful workers (the sharded serving tier's pool)
+# pinned kernel workers (the sharded serving tier's pool)
 # ----------------------------------------------------------------------
 
-#: Pool request: ``(kind, shard_id, method, args, collect_obs)``.
-_Request = Tuple[str, int, str, Tuple[Any, ...], bool]
+#: Pool request: ``(shard_id, epoch, (rows, kernel))`` — a shard's
+#: clipped ``(M, 4)`` row block and its kernel snapshot at ``epoch``.
+_Request = Tuple[
+    int, int, Tuple["npt.NDArray[np.float64]", BucketArrays]
+]
 
 
-def _shard_worker_main(
-    conn: Connection, payloads: Dict[int, bytes]
-) -> None:
-    """One pool worker: unpickle its shards, answer pipe requests.
+def _shard_worker_main(conn: Connection) -> None:
+    """One pool worker: shard kernels keyed by epoch, answering rows.
+
+    Each message is ``(shard_id, epoch, rows, kernel, collect)``; a
+    ``kernel`` other than ``None`` becomes the shard's entry at
+    ``epoch``.  The reply is ``(result, snapshot, error)``: the row
+    block answered over the held kernel, or — when the worker holds a
+    different epoch of the shard than the request names — an error
+    and no answer, so a worker never serves a kernel its parent has
+    moved past.
 
     The registry is reset up front (a ``fork`` child inherits the
     parent's collected metrics; merging them back would double-count)
     and re-enabled per request according to the parent's flag, so a
     request served while the parent collects contributes exactly its
     own counters and nothing else.
-
-    ``call`` requests reply ``(result, snapshot, error)``; ``cast``
-    requests (mutations) do not reply — pipe FIFO ordering guarantees
-    any later call observes them — and never collect metrics, because
-    the parent applies the same mutation to its own copy and already
-    counted it.  A failing request is shipped back as an error string
-    instead of killing the worker.
     """
     OBS.reset()
     OBS.disable()
-    shards = {
-        sid: pickle.loads(blob) for sid, blob in payloads.items()
-    }
+    kernels: Dict[int, Tuple[int, BucketArrays]] = {}
     collecting = False
-    pending_error: "str | None" = None
     while True:
-        message: "_Request | None" = conn.recv()
+        message = conn.recv()
         if message is None:
             break
-        kind, sid, method, args, collect = message
+        sid, epoch, rows, kernel, collect = message
         if collect != collecting:
             OBS.reset()
             OBS.enable(collect)
             collecting = collect
-        result: Any = None
-        error: "str | None" = pending_error
-        pending_error = None
-        if error is None:
-            try:
-                result = getattr(shards[sid], method)(*args)
-            except Exception as exc:  # noqa: BLE001 — shipped back
-                error = f"{type(exc).__name__}: {exc}"
-        if kind == "call":
-            snapshot = OBS.snapshot() if collecting else None
-            if collecting:
-                OBS.reset()
-                OBS.enable(True)
-            conn.send((result, snapshot, error))
-        elif error is not None:
-            # a failed cast surfaces on the next call
-            pending_error = error
+        if kernel is not None:
+            kernels[sid] = (epoch, kernel)
+        result: "npt.NDArray[np.float64] | None" = None
+        error: "str | None" = None
+        held = kernels.get(sid)
+        if held is None or held[0] != epoch:
+            have = "no kernel" if held is None else f"epoch {held[0]}"
+            error = f"holds {have}, not the requested epoch {epoch}"
+        else:
+            queries = RectSet(rows, copy=False, validate=False)
+            result = estimate_many_arrays(held[1], queries)
+        snapshot = OBS.snapshot() if collecting else None
+        if collecting:
+            OBS.reset()
+            OBS.enable(True)
+        conn.send((result, snapshot, error))
     conn.close()
 
 
@@ -213,13 +218,9 @@ class ShardWorkerPool:
 
     Parameters
     ----------
-    shards:
-        Mapping of shard id → shard object.  Each object is pickled
-        to its worker at startup and again whenever the worker is
-        respawned, so the caller must keep these copies authoritative
-        (apply every cast to them first), as the router does.  Shard
-        ``i`` (in ascending id order) lives on worker ``i % workers``
-        forever after.
+    shard_ids:
+        The shards the pool serves.  Shard ``i`` (in ascending id
+        order) lives on worker ``i % workers`` forever after.
     workers:
         Process count (clamped to the shard count).
     budget_steps:
@@ -231,13 +232,13 @@ class ShardWorkerPool:
 
     def __init__(
         self,
-        shards: Mapping[int, Any],
+        shard_ids: Sequence[int],
         *,
         workers: int,
         budget_steps: Optional[int] = DEFAULT_REPLY_BUDGET_STEPS,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
     ) -> None:
-        ids = sorted(shards)
+        ids = sorted(shard_ids)
         if not ids:
             raise ValueError("cannot pool zero shards")
         if poll_interval <= 0:
@@ -246,9 +247,8 @@ class ShardWorkerPool:
         self._worker_of = {
             sid: i % self.workers for i, sid in enumerate(ids)
         }
-        self._shards: Dict[int, Any] = {
-            sid: shards[sid] for sid in ids
-        }
+        #: Shard id -> epoch of the kernel its worker was sent.
+        self._shipped: Dict[int, int] = {}
         self._budget_steps = budget_steps
         self._poll_interval = poll_interval
         self._clock = StepClock()
@@ -263,21 +263,13 @@ class ShardWorkerPool:
             conns.append(conn)
             procs.append(proc)
 
-    def _payload(self, worker: int) -> Dict[int, bytes]:
-        """Pickled shard payload for one worker slot (id order)."""
-        return {
-            sid: pickle.dumps(self._shards[sid])
-            for sid, w in self._worker_of.items()
-            if w == worker
-        }
-
     def _spawn(
         self, worker: int
     ) -> Tuple[Connection, multiprocessing.process.BaseProcess]:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_shard_worker_main,
-            args=(child_conn, self._payload(worker)),
+            args=(child_conn,),
             daemon=True,
         )
         proc.start()
@@ -305,10 +297,11 @@ class ShardWorkerPool:
     # supervision
     # ------------------------------------------------------------------
     def respawn(self, worker: int) -> None:
-        """Replace worker ``worker`` with a fresh process.
+        """Replace worker ``worker`` with a fresh, empty process.
 
-        Deterministic: the slot keeps its shard set, re-pickled from
-        the caller's authoritative copies.  The old process is
+        The slot keeps its shard set; the pool forgets the kernels it
+        shipped there, so the next request to each of those shards
+        ships the current kernel again.  The old process is
         terminated (then killed) if still alive, so a wedged worker
         cannot leak.
         """
@@ -325,6 +318,9 @@ class ShardWorkerPool:
             self._conns[worker].close()
         except OSError:
             pass
+        for sid, w in self._worker_of.items():
+            if w == worker:
+                self._shipped.pop(sid, None)
         conn, proc = self._spawn(worker)
         self._conns[worker] = conn
         self._procs[worker] = proc
@@ -341,8 +337,8 @@ class ShardWorkerPool:
             f"{reason}",
             hint=(
                 f"{pending} request(s) were pending on the worker; "
-                "it was respawned from the parent's shard copies — "
-                "retry the request or serve the shard degraded"
+                "it was respawned and is sent its shards' kernels "
+                "again — retry the request or serve the shard degraded"
             ),
         )
 
@@ -399,19 +395,26 @@ class ShardWorkerPool:
     # ------------------------------------------------------------------
     # requests
     # ------------------------------------------------------------------
-    def try_call_many(
-        self,
-        requests: Sequence[Tuple[int, str, Tuple[Any, ...]]],
-    ) -> List[Any]:
-        """Supervised :meth:`call_many`: per-request result or error.
+    def try_call_many(self, requests: Sequence[_Request]) -> List[Any]:
+        """Serve ``(shard_id, epoch, (rows, kernel))`` requests.
+
+        A request's kernel crosses the pipe only when the shard's
+        worker was not already sent ``epoch``.  All requests are sent
+        before any reply is read, so workers serve disjoint shards
+        concurrently; replies are gathered in request order
+        (per-worker pipes are FIFO), and worker metric snapshots are
+        merged in that same order, so results and counter totals do
+        not depend on scheduling.
 
         Position ``i`` of the returned list holds either the request's
-        result or the :class:`ShardWorkerError` it failed with — a
+        answer or the :class:`ShardWorkerError` it failed with — a
         dead or wedged worker fails every request outstanding on it
         (fast, typed, never a hang) and is respawned exactly once,
-        while requests on healthy workers complete normally.  Every
-        healthy reply is collected before returning, so no stale reply
-        can leak into a later batch.
+        while requests on healthy workers complete normally.  An
+        error reply (the worker holds another epoch) also forgets the
+        shard's shipped epoch, so a retry ships the kernel again.
+        Every healthy reply is collected before returning, so no
+        stale reply can leak into a later batch.
         """
         if self._conns is None:
             raise RuntimeError("pool is closed")
@@ -421,14 +424,15 @@ class ShardWorkerPool:
             w: [] for w in range(self.workers)
         }
         down: Dict[int, ShardWorkerError] = {}
-        for pos, (sid, method, args) in enumerate(requests):
+        for pos, (sid, epoch, (rows, kernel)) in enumerate(requests):
             worker = self._worker_of[sid]
             if worker in down:
                 results[pos] = down[worker]
                 continue
+            ship = None if self._shipped.get(sid) == epoch else kernel
             try:
                 self._conns[worker].send(
-                    ("call", sid, method, tuple(args), collect)
+                    (sid, epoch, rows, ship, collect)
                 )
             except (BrokenPipeError, OSError):
                 error = self._down_error(
@@ -441,8 +445,9 @@ class ShardWorkerPool:
                     worker, outstanding, results, error
                 )
                 continue
+            self._shipped[sid] = epoch
             outstanding[worker].append(pos)
-        for pos, (sid, _method, _args) in enumerate(requests):
+        for pos, (sid, _epoch, _args) in enumerate(requests):
             if results[pos] is not _PENDING:
                 continue
             worker = self._worker_of[sid]
@@ -471,11 +476,12 @@ class ShardWorkerPool:
                 continue
             outstanding[worker].pop(0)
             if error is not None:
+                self._shipped.pop(sid, None)
                 results[pos] = ShardWorkerError(
-                    f"shard worker for shard {sid} failed: {error}",
+                    f"shard worker for shard {sid} {error}",
                     hint=(
-                        "the worker survives; the failure came from "
-                        "the shard method itself"
+                        "the worker survives and is sent the shard's "
+                        "kernel again with the next request"
                     ),
                 )
                 continue
@@ -483,60 +489,6 @@ class ShardWorkerPool:
                 OBS.merge_snapshot(snapshot)
             results[pos] = result
         return results
-
-    def call_many(
-        self,
-        requests: Sequence[Tuple[int, str, Tuple[Any, ...]]],
-    ) -> List[Any]:
-        """Run ``(shard_id, method, args)`` requests; ordered results.
-
-        All requests are sent before any reply is read, so workers
-        serve disjoint shards concurrently; replies are gathered in
-        request order (per-worker pipes are FIFO), and worker metric
-        snapshots are merged in that same order — results and counter
-        totals match an inline serve exactly.
-
-        Reply collection honors the pool's deadline: a dead or wedged
-        worker raises a :class:`ShardWorkerError` naming the shard and
-        the pending requests (after every healthy reply was collected
-        and the failed worker respawned) instead of blocking forever.
-        """
-        results = self.try_call_many(requests)
-        for result in results:
-            if isinstance(result, ShardWorkerError):
-                raise result
-        return results
-
-    def call(
-        self, shard_id: int, method: str, *args: Any
-    ) -> Any:
-        """One request to one shard (see :meth:`call_many`)."""
-        return self.call_many([(shard_id, method, args)])[0]
-
-    def cast(
-        self,
-        shard_id: int,
-        method: str,
-        args: Tuple[Any, ...] = (),
-    ) -> None:
-        """Fire-and-forget request (mutations).  No reply, no
-        metrics: the caller already applied — and counted — the same
-        operation on its own copy of the shard.  A dead worker is
-        respawned instead of re-sent to: the caller applied the
-        mutation before casting, so the authoritative copy the
-        respawn re-pickles already contains it and re-sending would
-        double-apply."""
-        if self._conns is None:
-            raise RuntimeError("pool is closed")
-        worker = self._worker_of[shard_id]
-        try:
-            self._conns[worker].send(
-                ("cast", shard_id, method, tuple(args), False)
-            )
-        except (BrokenPipeError, OSError):
-            if OBS.enabled:
-                OBS.add("serving.pool.worker_failures")
-            self.respawn(worker)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

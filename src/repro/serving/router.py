@@ -17,10 +17,11 @@ query batch it
    bucket) pair of the tier, and a healthy shard's partial is the row
    sum of its own column range over the whole batch.  A pooled tier
    clips each consulted shard's rows to its routing box and dispatches
-   them over the long-lived deterministic
-   :class:`~repro.serving.parallel.ShardWorkerPool` to the worker
-   holding the shard (:meth:`~repro.serving.shard.HistogramShard.\
-estimate_batch_coords`);
+   them, with the shard's epoch and kernel snapshot, over the
+   long-lived deterministic
+   :class:`~repro.serving.parallel.ShardWorkerPool` to the worker the
+   shard is pinned to, which answers with the union reference's own
+   :func:`~repro.core.bucket.estimate_many_arrays`;
 4. adds the partials in shard order, which keeps the answer
    bit-identical to the :class:`~repro.serving.shard.ShardUnionEstimator`
    single-engine reference: the inline pass *is* that reference's
@@ -33,8 +34,8 @@ same four steps.
 **Fault tolerance.**  Every consulted shard is served under the
 supervision policy: the pool bounds each reply wait with a logical
 deadline (a dead or wedged worker surfaces as a typed
-:class:`~repro.errors.ShardWorkerError` and is respawned from the
-parent's copy of its shards); a failed shard dispatch is retried
+:class:`~repro.errors.ShardWorkerError` and is respawned empty, to be
+sent its shards' kernels again); a failed shard dispatch is retried
 under the router's :class:`~repro.resilience.RetryPolicy` with
 deterministic backoff on the router's step clock; and each shard's
 consecutive failures drive its
@@ -50,12 +51,11 @@ shard announces the ``serving.worker.s<id>`` fault site, inline tier
 kernel included, so chaos plans can fail specific shards
 deterministically.
 
-Mutations route to the owning shard only; in pooled mode they are also
-forwarded to the worker holding that shard, and so are tuned layouts.
-The parent's copy is authoritative: it sees every mutation and tuned
-layout first, serves routing boxes, ownership and degraded partials,
-and is what a respawned worker is re-pickled from, so a worker's copy
-never diverges from it.
+Mutations route to the owning shard only.  Mutations and tuning
+passes apply in this process alone, which holds the one copy of every
+shard; a worker holds kernels keyed by epoch, so a moved shard's next
+dispatch carries its new kernel, and a worker asked for an epoch it
+does not hold answers with an error, never with a stale kernel.
 
 Counters (``serving.shard.*``): ``requests`` (serves; a scalar query
 is a one-row serve), ``queries`` (rows served), ``fanout`` (shards a
@@ -114,7 +114,7 @@ class ShardRouter(SelectivityEstimator):
         downstream error tables key identically.
     workers:
         ``<= 1`` serves every shard inline in this process, in one
-        pass of the tier kernel; otherwise shards are pickled into a
+        pass of the tier kernel; otherwise shards are pinned to a
         :class:`~repro.serving.parallel.ShardWorkerPool` of this many
         long-lived worker processes and sub-batches are fanned out.
         A pooled router serves inline once :meth:`close` has shut its
@@ -165,7 +165,7 @@ class ShardRouter(SelectivityEstimator):
         self._pool: Optional[ShardWorkerPool] = None
         if self.workers > 1:
             self._pool = ShardWorkerPool(
-                {s.shard_id: s for s in shards},
+                [s.shard_id for s in shards],
                 workers=self.workers,
                 budget_steps=budget_steps,
                 poll_interval=poll_interval,
@@ -205,7 +205,7 @@ class ShardRouter(SelectivityEstimator):
         two operations; a shard with no buckets gets corners no row
         can hit.  The tier kernel concatenates every shard's own
         kernel snapshot in shard order, read through
-        :meth:`~repro.estimators.BucketEstimator.kernel`, so a shard
+        :meth:`~repro.serving.shard.HistogramShard.kernel`, so a shard
         re-snapshots only when its own epoch moved.
         """
         shards = self.sharded.shards
@@ -224,11 +224,7 @@ class ShardRouter(SelectivityEstimator):
                 lo[k, :2] = (box.x1, box.y1)
                 hi[k, 2:] = (box.x2, box.y2)
             if inline:
-                est = shard.estimator
-                kernel = (
-                    est.kernel() if est is not None
-                    else BucketArrays(())
-                )
+                kernel = shard.kernel()
                 kernels.append(kernel)
                 columns.append((start, start + kernel.n))
                 start += kernel.n
@@ -410,7 +406,8 @@ class ShardRouter(SelectivityEstimator):
         consulted: List[int],
     ) -> "npt.NDArray[np.float64]":
         """Clip each consulted shard's rows to its routing box and
-        dispatch them to the worker holding the shard."""
+        dispatch them, with the shard's epoch and kernel, to the
+        worker the shard is pinned to."""
         shards = self.sharded.shards
         rows: Dict[int, "npt.NDArray[np.int64]"] = {}
         clipped: Dict[int, "npt.NDArray[np.float64]"] = {}
@@ -421,8 +418,8 @@ class ShardRouter(SelectivityEstimator):
 
         def send(positions: List[int]) -> List[Any]:
             return pool.try_call_many([
-                (shards[k].shard_id, "estimate_batch_coords",
-                 (clipped[k],))
+                (shards[k].shard_id, shards[k].epoch,
+                 (clipped[k], shards[k].kernel()))
                 for k in positions
             ])
 
@@ -467,8 +464,6 @@ class ShardRouter(SelectivityEstimator):
         sid = self.sharded.insert(rect)
         if OBS.enabled:
             OBS.add("serving.shard.routed_mutations")
-        if self._pool is not None:
-            self._pool.cast(sid, "apply_op", ("insert", rect))
         return sid
 
     def tune(
@@ -479,31 +474,20 @@ class ShardRouter(SelectivityEstimator):
         grid_nx: int = 8,
         grid_ny: int = 8,
     ) -> List[Optional[TuningReport]]:
-        """One feedback pass per shard, replicated to pool workers.
+        """One feedback pass per shard (:meth:`ShardedHistogram.tune`).
 
-        The authoritative copies run the tuner
-        (:meth:`ShardedHistogram.tune`); in pooled mode each applied
-        layout is then shipped to the owning worker via the same
-        fire-and-forget channel mutations use, so the worker's
-        replica adopts the identical bucket list with its own single
-        epoch bump (:meth:`HistogramShard.adopt_buckets`).  A pass
-        that found nothing to change casts nothing — the replica's
-        epoch only moves when the parent's did.
+        An applied layout moves its shard's epoch like any mutation,
+        so in pooled mode the shard's next dispatch ships the tuned
+        kernel.
         """
         reports = self.sharded.tune(
             queries, max_ops=max_ops, grid_nx=grid_nx,
             grid_ny=grid_ny,
         )
-        for shard, report in zip(self.sharded.shards, reports):
-            if report is None or not report.applied:
-                continue
-            if OBS.enabled:
-                OBS.add("serving.shard.routed_tunes")
-            if self._pool is not None:
-                self._pool.cast(
-                    shard.shard_id, "adopt_buckets",
-                    (list(shard.buckets),),
-                )
+        if OBS.enabled:
+            for report in reports:
+                if report is not None and report.applied:
+                    OBS.add("serving.shard.routed_tunes")
         return reports
 
     def delete(self, rect: Rect) -> Tuple[int, bool]:
@@ -511,8 +495,6 @@ class ShardRouter(SelectivityEstimator):
         sid, accepted = self.sharded.delete(rect)
         if OBS.enabled:
             OBS.add("serving.shard.routed_mutations")
-        if accepted and self._pool is not None:
-            self._pool.cast(sid, "apply_op", ("delete", rect))
         return sid, accepted
 
     # ------------------------------------------------------------------

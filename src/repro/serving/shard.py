@@ -6,18 +6,12 @@ boxes and hosts one live summary — a
 :class:`~repro.estimators.MaintainedEstimator` kernel snapshot over it
 — per shard, each with an independent epoch.  A mutation routes to the
 *owning* shard only, so an insert re-snapshots one shard's kernel
-instead of the whole tier's.  A pool worker serves every sub-batch
-dispatched to its shard straight from that kernel — validation,
-``sync()`` and one vectorised pass over a few dozen buckets.  Served
-inline, the router reads the same snapshots
-(:meth:`~repro.estimators.BucketEstimator.kernel`) and evaluates the
-whole tier's buckets in one pass instead.
-
-A pool worker's shard is a pickle of the parent's copy, which stays
-authoritative: the router applies every mutation and tuned layout to
-it before forwarding the same call to the worker, and a respawned
-worker is re-pickled from it.  :meth:`HistogramShard.state_digest`
-checks that the two copies agree bit for bit.
+instead of the whole tier's.  The router reads those snapshots
+through :meth:`HistogramShard.kernel`.  Served inline, it evaluates
+the whole tier's buckets in one pass; pooled, it ships a shard's
+snapshot, keyed by :attr:`HistogramShard.epoch`, to the worker the
+shard is pinned to, which answers the shard's sub-batches from it.
+Every shard lives only in the parent process.
 
 **Min-Skew is the shard-boundary algorithm.**  :class:`ShardPlan` runs
 the paper's own partitioner with a bucket quota of ``K``: the top-level
@@ -57,8 +51,6 @@ current buckets and recomputed whenever the shard's epoch moves.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -311,8 +303,16 @@ class HistogramShard:
         return self._routing_box
 
     # ------------------------------------------------------------------
-    # serving (the pool-worker entry point)
+    # serving
     # ------------------------------------------------------------------
+    def kernel(self) -> BucketArrays:
+        """The kernel snapshot at :attr:`epoch` (empty before the
+        histogram exists)."""
+        if self.estimator is None:
+            return BucketArrays(())
+        return self.estimator.kernel()
+
+    # perfbench's tracer wraps this method; no served path calls it
     def estimate_batch_coords(
         self, coords: "npt.NDArray[np.float64]"
     ) -> "npt.NDArray[np.float64]":
@@ -323,7 +323,7 @@ class HistogramShard:
         return self.estimator.estimate_batch(queries)
 
     # ------------------------------------------------------------------
-    # maintenance (also the pool-worker entry points)
+    # maintenance
     # ------------------------------------------------------------------
     def insert(self, rect: Rect) -> None:
         if self.hist is None:
@@ -345,13 +345,6 @@ class HistogramShard:
         if accepted:
             self._maybe_refresh()
         return accepted
-
-    def apply_op(self, kind: str, rect: Rect) -> bool:
-        """Mutation entry point used by pool workers."""
-        if kind == "insert":
-            self.insert(rect)
-            return True
-        return self.delete(rect)
 
     def _maybe_refresh(self) -> None:
         if self.hist is not None and self.hist.needs_refresh:
@@ -384,35 +377,6 @@ class HistogramShard:
             grid_nx=grid_nx, grid_ny=grid_ny,
         )
         return tuner.tune(queries)
-
-    def adopt_buckets(self, buckets: List[Bucket]) -> None:
-        """Adopt a tuned bucket list published elsewhere.
-
-        Replica entry point for pooled serving: the authoritative
-        (parent) copy runs the tuner, then ships the resulting layout
-        to the owning worker so both copies publish the identical
-        buckets through :meth:`replace_buckets` — one epoch bump on
-        each side, no recomputation, no chance of the replica's
-        hill-climb diverging.  A shard with no histogram ignores the
-        adopt.
-        """
-        if self.hist is None:
-            return
-        self.hist.replace_buckets(list(buckets))
-
-    def state_digest(self) -> str:
-        """SHA-256 over the shard's mutable state (epoch base plus
-        :meth:`~repro.core.maintenance.MaintainedHistogram.state`).
-
-        The pooled tier's bit-identity gate: a worker's copy must
-        digest equal to the parent's authoritative copy."""
-        state = {
-            "shard_id": self.shard_id,
-            "epoch_base": self._epoch_base,
-            "hist": self.hist.state() if self.hist is not None else None,
-        }
-        body = json.dumps(state, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------------
     # degraded serving (the quarantine partial)

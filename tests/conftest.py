@@ -80,8 +80,8 @@ class ServedEngine:
     ``estimate_batch`` answers a :class:`RectSet`; ``insert`` /
     ``delete`` route a mutation through the stack's own entry point;
     ``tune`` runs one feedback pass through the stack's own entry
-    point (the router's in pooled mode, so worker replicas adopt the
-    tuned layout); ``reference`` is the single-engine union answer
+    point (the router's in pooled mode, so the next dispatch ships
+    the tuned kernels); ``reference`` is the single-engine union answer
     over the *current* shard state (so it tracks mutations and
     tuning), built fresh on every call — for the ``direct`` kind,
     which serves one long-lived union estimator, that makes the

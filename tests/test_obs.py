@@ -261,10 +261,8 @@ def test_instrumentation_silent_when_disabled(small_charminar):
                 "improvement": 0.0}},
      ["tuned.count_conserved", "tuned.improvement"]),
     ({"sharded": {"sharded_matches": True,
-                  "owner_only_invalidation": False,
-                  "recovery": {"requests": 6, "survived": 5,
-                               "recovered_matches": True}}},
-     ["sharded.owner_only_invalidation", "sharded.recovery.survived"]),
+                  "owner_only_invalidation": False}},
+     ["sharded.owner_only_invalidation"]),
     # a timing field is never a gate, however bad
     ({"server": {"server_matches": True, "requests": 600,
                  "speedup": 0.0}}, []),
@@ -274,23 +272,3 @@ def test_bench_gate_failures_name_each_false_gate(cell, failed):
 
     assert gate_failures(cell) == failed
 
-
-# ----------------------------------------------------------------------
-# bench artifact schema
-# ----------------------------------------------------------------------
-def test_validate_bench_enforces_maximum_without_jsonschema(monkeypatch):
-    """With or without ``jsonschema`` installed, a fraction above its
-    schema maximum is rejected."""
-    import sys
-    from pathlib import Path
-
-    from repro.obs.schema import BenchSchemaError, validate_bench
-
-    monkeypatch.setitem(sys.modules, "jsonschema", None)
-    path = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
-    doc = json.loads(path.read_text())
-    validate_bench(doc)
-    cell = doc["datasets"][0]["techniques"][0]
-    cell["sharded"]["recovery"]["degraded_fraction"] = 1.5
-    with pytest.raises(BenchSchemaError, match="degraded_fraction"):
-        validate_bench(doc)

@@ -978,9 +978,9 @@ class TestMutationSelfTest:
         )
 
     def test_removing_setstate_fires_pickle001(self, tree_copy):
-        """``HistogramShard`` is pickled to pool workers and defines
-        neither hook; the mutant gives it a ``__getstate__`` whose
-        ``__setstate__`` is missing."""
+        """The hook-pair check applies to every class, pickled or not:
+        ``HistogramShard`` defines neither hook, and the mutant gives
+        it a ``__getstate__`` whose ``__setstate__`` is missing."""
         shard = tree_copy / "serving" / "shard.py"
         source = shard.read_text()
         tree = ast.parse(source)

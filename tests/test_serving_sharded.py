@@ -397,9 +397,8 @@ class TestRoutingBehaviour:
         original = ShardWorkerPool.try_call_many
 
         def spy(pool, requests):
-            for sid, method, args in requests:
-                if method == "estimate_batch_coords":
-                    received.setdefault(sid, []).append(args[0])
+            for sid, _epoch, (rows, _kernel) in requests:
+                received.setdefault(sid, []).append(rows)
             return original(pool, requests)
 
         monkeypatch.setattr(ShardWorkerPool, "try_call_many", spy)
@@ -557,23 +556,12 @@ class TestShardWorkerPool:
         )
         assert router.estimate(queries[0]) == union.estimate(queries[0])
 
-    def test_worker_failure_surfaces_as_typed_error(self):
-        from repro.errors import ShardWorkerError
-
-        with ShardRouter(_build(), workers=2) as pooled:
-            pool = pooled._pool
-            with pytest.raises(ShardWorkerError, match="no_such"):
-                pool.call(0, "no_such_method")
-            # the worker survives a method-level failure and the pool
-            # keeps serving healthy requests afterwards
-            assert isinstance(pool.call(0, "state_digest"), str)
-
 
 class TestShardServesFromItsKernel:
     """Inline, the router answers a batch with one pass of the tier
-    kernel; pooled, a shard answers each dispatched sub-batch with one
-    pass of its estimator's kernel: no query cache, no bucket index,
-    and no per-request engine accounting on the sharded path."""
+    kernel; pooled, a worker answers each dispatched sub-batch with one
+    pass of the shard's kernel snapshot: no query cache, no bucket
+    index, and no per-request engine accounting on the sharded path."""
 
     ENGINE_PREFIXES = ("serving.cache.", "serving.index.")
     ENGINE_COUNTERS = ("serving.epoch.index_rebuilds", "serving.requests")
