@@ -20,7 +20,6 @@ Quick start::
     print(est.estimate_many(queries)[:5])    # estimated result sizes
 """
 
-from .analysis import lint_paths
 from .core import (
     Bucket,
     MinSkewPartitioner,
@@ -85,8 +84,6 @@ __all__ = [
     # observability
     "OBS",
     "MetricsRegistry",
-    # static analysis
-    "lint_paths",
     # workload + eval
     "range_queries",
     "point_queries",

@@ -2,30 +2,29 @@
 
 The paper's figures are only trustworthy if every run is
 byte-deterministic and every geometry array keeps the float64 ``(N, 4)``
-contract.  PR 1's determinism and differential tests check those
+contract.  The determinism and differential tests check those
 invariants *dynamically*; this package enforces them *statically*, so a
 stray ``np.random.seed`` or silent dtype downcast fails fast in review
 rather than rotting the figures.
 
 Layout:
 
-* :mod:`repro.analysis.engine` — visitor core: file walking, parsing,
-  import-alias resolution, ``# repro: noqa[RULE]`` suppressions;
-* :mod:`repro.analysis.rules` — the rule registry and the repository
+* :mod:`repro.analysis.engine` — the lint pass: file walking, parsing,
+  import-alias resolution, and running the selected rules of both
+  registries over the loaded tree;
+* :mod:`repro.analysis.rules` — the per-module rule registry and its
   rules (DET001, NPY001, MUT001, OBS001, API001);
-* :mod:`repro.analysis.config` — per-rule knobs and package scopes;
-* :mod:`repro.analysis.reporters` — text, schema-pinned JSON, and
-  SARIF 2.1.0 output;
-* :mod:`repro.analysis.project` — the whole-program pass: symbol
-  tables, call graph, dominance analysis, and the cross-module rules
-  (EPOCH001, PICKLE001, SEED001, ORDER001, SUP001) behind
-  ``repro-spatial lint --project``.
+* :mod:`repro.analysis.project` — the whole-program substrate (symbol
+  tables, call graph, dominance analysis) and its rules (EPOCH001,
+  SEED001, ORDER001, RES002);
+* :mod:`repro.analysis.config` — rule selection;
+* :mod:`repro.analysis.reporters` — text and schema-pinned JSON output.
 
 Run it via ``repro-spatial lint src/`` or programmatically::
 
-    from repro.analysis import DEFAULT_CONFIG, lint_paths, render_text
+    from repro.analysis import lint_paths, render_text
 
-    result = lint_paths(["src"], DEFAULT_CONFIG)
+    result = lint_paths(["src"])
     print(render_text(result))
     assert result.ok
 """
@@ -36,32 +35,21 @@ from .engine import (
     LintResult,
     ModuleContext,
     iter_source_files,
-    iter_suppression_comments,
-    lint_file,
     lint_paths,
     lint_source,
 )
 from .project import (
     PROJECT_RULES,
     ProjectRule,
-    apply_baseline,
-    fingerprint,
-    lint_project,
-    load_baseline,
     load_project,
     register_project,
-    write_baseline,
 )
 from .reporters import (
     LINT_JSON_SCHEMA,
-    SARIF_VERSION,
     lint_json_dict,
     render_json,
-    render_sarif,
     render_text,
-    sarif_dict,
     validate_lint_json,
-    validate_sarif,
 )
 from .rules import RULES, Rule, register
 
@@ -73,29 +61,18 @@ __all__ = [
     "LintResult",
     "ModuleContext",
     "iter_source_files",
-    "iter_suppression_comments",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "LINT_JSON_SCHEMA",
-    "SARIF_VERSION",
     "lint_json_dict",
     "render_json",
-    "render_sarif",
     "render_text",
-    "sarif_dict",
     "validate_lint_json",
-    "validate_sarif",
     "RULES",
     "Rule",
     "register",
     "PROJECT_RULES",
     "ProjectRule",
-    "apply_baseline",
-    "fingerprint",
-    "lint_project",
-    "load_baseline",
     "load_project",
     "register_project",
-    "write_baseline",
 ]

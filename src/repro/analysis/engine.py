@@ -1,114 +1,49 @@
-"""Linter engine: file walking, parsing, suppressions, rule running.
+"""Linter engine: file walking, parsing, and the one lint pass.
 
 The engine owns everything rule-independent.  For each ``.py`` file it
 builds a :class:`ModuleContext` — the parsed tree plus an import-alias
 map so rules reason about *fully-qualified* call names (``np.random
 .seed`` and ``from numpy import random as r; r.seed`` both resolve to
-``numpy.random.seed``) — then runs every enabled rule from the registry
-and filters findings through ``# repro: noqa[RULE]`` suppressions.
-
-Suppression comments attach to the flagged line::
-
-    t0 = time.time()  # repro: noqa[DET001]   suppress one rule
-    t0 = time.time()  # repro: noqa           suppress every rule
+``numpy.random.seed``).  :func:`lint_paths` then loads every module of
+the targets into one :class:`~repro.analysis.project.model.Project`
+and runs the selected rules of both registries over it: each
+per-module rule (:data:`~repro.analysis.rules.RULES`) on every module,
+each whole-program rule (:data:`~repro.analysis.project.rules
+.PROJECT_RULES`) once on the project.  :func:`lint_source` is the same
+pass over one in-memory module.
 
 Unparseable files yield a single :data:`~repro.analysis.diagnostics
 .PARSE_RULE` violation instead of crashing the run, so one bad file
-cannot hide findings in the rest of the tree.
+cannot hide findings in the rest of the tree; rule selection never
+filters those out.
 """
 
 from __future__ import annotations
 
 import ast
-import io
-import re
-import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, \
-    Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, \
+    Optional, Sequence, Set, Tuple, Union
 
 from .config import DEFAULT_CONFIG, LintConfig
 from .diagnostics import PARSE_RULE, Violation
+
+if TYPE_CHECKING:
+    from .project.model import Project
 
 __all__ = [
     "ModuleContext",
     "LintResult",
     "iter_source_files",
-    "iter_suppression_comments",
-    "lint_file",
     "lint_paths",
     "lint_source",
 ]
 
-_NOQA_RE = re.compile(
-    r"#\s*repro:\s*noqa(?:\[(?P<rules>[A-Za-z0-9_,\s]+)\])?"
+#: Directory basenames skipped while walking lint targets.
+EXCLUDE_DIR_NAMES: Tuple[str, ...] = (
+    "__pycache__", ".git", ".venv", "build", "dist",
 )
-
-
-def iter_suppression_comments(
-    source: str,
-) -> List[Tuple[int, int, Optional[FrozenSet[str]]]]:
-    """Every ``# repro: noqa[...]`` *comment* as (line, col, rules).
-
-    ``rules`` is ``None`` for a bare ``# repro: noqa``.  Comments are
-    found through the tokenizer, so noqa-shaped text inside strings
-    and docstrings is never a suppression (and, since SUP001, never a
-    false "unused suppression" finding either).  Untokenizable input
-    falls back to a line-by-line regex scan — a linter that silently
-    ignores suppressions in a file it could still parse would resurrect
-    findings the author explicitly waived.
-    """
-    found: List[Tuple[int, int, Optional[FrozenSet[str]]]] = []
-
-    def record(text: str, line: int, col: int) -> None:
-        # The directive must BE the comment, not appear inside one —
-        # prose like "a bare ``# repro: noqa`` silences…" mid-comment
-        # is documentation, not a suppression.
-        match = _NOQA_RE.match(text)
-        if match is None:
-            return
-        rules = match.group("rules")
-        if rules is None:
-            found.append((line, col, None))
-        else:
-            found.append((line, col, frozenset(
-                part.strip().upper()
-                for part in rules.split(",") if part.strip()
-            )))
-
-    try:
-        tokens = list(
-            tokenize.generate_tokens(io.StringIO(source).readline)
-        )
-    except (tokenize.TokenError, SyntaxError, IndentationError):
-        for lineno, text in enumerate(source.splitlines(), start=1):
-            hash_at = text.find("#")
-            if hash_at >= 0:
-                record(text[hash_at:], lineno, hash_at)
-        return found
-    for token in tokens:
-        if token.type == tokenize.COMMENT:
-            record(token.string, token.start[0], token.start[1])
-    return found
-
-
-def _collect_suppressions(
-    source: str,
-) -> Dict[int, Optional[FrozenSet[str]]]:
-    """Map 1-based line numbers to suppressed rule sets.
-
-    ``None`` means every rule is suppressed on that line.
-    """
-    table: Dict[int, Optional[FrozenSet[str]]] = {}
-    for line, _col, rules in iter_suppression_comments(source):
-        if rules is None or line not in table:
-            table[line] = rules
-        else:
-            existing = table[line]
-            if existing is not None:
-                table[line] = existing | rules
-    return table
 
 
 def _module_name_of(path: str) -> str:
@@ -235,11 +170,9 @@ class LintResult:
 
 def iter_source_files(
     paths: Iterable[Union[str, Path]],
-    *,
-    config: LintConfig = DEFAULT_CONFIG,
 ) -> List[Path]:
     """Expand files/directories into a sorted list of ``.py`` files."""
-    excluded = set(config.exclude_dir_names)
+    excluded = set(EXCLUDE_DIR_NAMES)
     found: List[Path] = []
     for raw in paths:
         path = Path(raw)
@@ -261,62 +194,61 @@ def iter_source_files(
     return unique
 
 
+def parse_violation(path: str, exc: SyntaxError) -> Violation:
+    """The :data:`PARSE_RULE` finding for a file that does not parse."""
+    return Violation(
+        path=path,
+        line=exc.lineno or 1,
+        col=(exc.offset or 1) - 1,
+        rule=PARSE_RULE,
+        message=f"cannot parse file: {exc.msg}",
+    )
+
+
+def _run_rules(project: Project, config: LintConfig) -> List[Violation]:
+    """The selected rules of both registries over ``project``."""
+    # deferred, here and below: the rule modules and the project
+    # loader import this module
+    from .project.rules import PROJECT_RULES
+    from .rules import RULES
+
+    found: List[Violation] = []
+    for ctx in project.modules.values():
+        for code, rule_class in sorted(RULES.items()):
+            if config.wants(code):
+                found.extend(rule_class(ctx).run())
+    for code, project_rule in sorted(PROJECT_RULES.items()):
+        if config.wants(code):
+            found.extend(project_rule(project).run())
+    return found
+
+
 def lint_source(
     source: str,
     path: str = "<string>",
     config: LintConfig = DEFAULT_CONFIG,
 ) -> List[Violation]:
-    """Lint one in-memory module; the core of :func:`lint_file`."""
-    from .rules import RULES  # deferred: rules import this module
+    """The lint pass over one in-memory module."""
+    from .project.loader import build_project
 
     try:
         ctx = ModuleContext.from_source(source, path)
     except SyntaxError as exc:
-        return [Violation(
-            path=path,
-            line=exc.lineno or 1,
-            col=(exc.offset or 1) - 1,
-            rule=PARSE_RULE,
-            message=f"cannot parse file: {exc.msg}",
-        )]
-
-    suppressions = _collect_suppressions(source)
-    found: List[Violation] = []
-    for code, rule_class in sorted(RULES.items()):
-        if not config.wants(code):
-            continue
-        rule = rule_class(ctx, config)
-        found.extend(rule.run())
-
-    kept: List[Violation] = []
-    for violation in found:
-        if violation.line in suppressions:
-            suppressed = suppressions[violation.line]
-            # ``None`` is a bare ``# repro: noqa``: silence everything.
-            if suppressed is None or violation.rule in suppressed:
-                continue
-        kept.append(violation)
-    return sorted(kept)
-
-
-def lint_file(
-    path: Union[str, Path],
-    config: LintConfig = DEFAULT_CONFIG,
-) -> List[Violation]:
-    """Lint one file on disk."""
-    text = Path(path).read_text(encoding="utf-8")
-    return lint_source(text, Path(path).as_posix(), config)
+        return [parse_violation(path, exc)]
+    return sorted(_run_rules(build_project([ctx]), config))
 
 
 def lint_paths(
     paths: Sequence[Union[str, Path]],
     config: LintConfig = DEFAULT_CONFIG,
 ) -> LintResult:
-    """Lint every ``.py`` file reachable from ``paths``."""
-    files = iter_source_files(paths, config=config)
-    violations: List[Violation] = []
-    for path in files:
-        violations.extend(lint_file(path, config))
+    """Lint every ``.py`` file reachable from ``paths``, loaded as one
+    project."""
+    from .project.loader import load_project
+
+    files = iter_source_files(paths)
+    project, violations = load_project(files)
+    violations.extend(_run_rules(project, config))
     return LintResult(
         files_checked=len(files),
         violations=tuple(sorted(violations)),

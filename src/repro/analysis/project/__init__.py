@@ -1,15 +1,17 @@
-"""Whole-program analysis: cross-module rules over the full tree.
+"""Whole-program analysis: the substrate and rules that see the full tree.
 
-The per-file linter (:mod:`repro.analysis.engine`) sees one module at
-a time, so it cannot state the invariants that actually protect the
-serving tier — "every cache read happens after a revalidate", "every
-class shipped to a worker pickles honestly", "seeds flow through
-parameters across call edges".  This package sees the whole tree:
+A per-module rule (:mod:`repro.analysis.rules`) sees one module at a
+time, so it cannot state the invariants that actually protect the
+serving tier — "every kernel-snapshot read happens after a
+revalidate", "every parent-side pipe read sits under a deadline",
+"seeds flow through parameters across call edges".  The lint pass
+(:func:`repro.analysis.engine.lint_paths`) loads every target into one
+project, and the rules here reason over all of it:
 
 ``model``
     Symbol tables — modules, classes (with project-visible MRO),
-    functions, per-class attribute inventories with pickle-hazard
-    flags.
+    functions, per-class inventories of the project classes each
+    attribute holds.
 ``loader``
     Builds a :class:`~repro.analysis.project.model.Project` from
     source paths, resolving absolute, aliased *and relative* imports.
@@ -19,31 +21,22 @@ parameters across call edges".  This package sees the whole tree:
     inference.
 ``dominance``
     The path-sensitive "is every read dominated by a revalidate?"
-    abstract interpretation EPOCH001 runs per method.
+    abstract interpretation EPOCH001 and RES002 run per function.
 ``rules``
-    The five cross-module rules (EPOCH001, PICKLE001, SEED001,
-    ORDER001, SUP001) and their :data:`PROJECT_RULES` registry.
-``engine``
-    :func:`lint_project` — the driver the CLI's ``--project`` flag
-    invokes.
-``baseline``
-    Committed-baseline fingerprinting for incremental adoption.
+    The whole-program rules (EPOCH001, SEED001, ORDER001, RES002) and
+    their :data:`PROJECT_RULES` registry.
 """
 
 from __future__ import annotations
 
-from .baseline import BASELINE_VERSION, apply_baseline, fingerprint, \
-    load_baseline, write_baseline
 from .callgraph import CallGraph, CallSite, calls_in, local_class_env
 from .dominance import EVENT_READ, EVENT_REVALIDATE, undominated_reads
-from .engine import lint_project
-from .loader import load_project
+from .loader import build_project, load_project
 from .model import AttributeInfo, ClassInfo, FunctionInfo, Project
 from .rules import PROJECT_RULES, ProjectRule, register_project
 
 __all__ = [
     "AttributeInfo",
-    "BASELINE_VERSION",
     "CallGraph",
     "CallSite",
     "ClassInfo",
@@ -53,14 +46,10 @@ __all__ = [
     "PROJECT_RULES",
     "Project",
     "ProjectRule",
-    "apply_baseline",
+    "build_project",
     "calls_in",
-    "fingerprint",
-    "lint_project",
-    "load_baseline",
     "load_project",
     "local_class_env",
     "register_project",
     "undominated_reads",
-    "write_baseline",
 ]

@@ -4,48 +4,29 @@ Three passes, all syntactic:
 
 1. parse every file into a :class:`~repro.analysis.engine
    .ModuleContext` (unparseable files yield a ``PARSE`` violation and
-   are skipped, exactly like the per-file engine);
-2. build per-module *project-aware* alias maps — unlike the per-file
-   collector, relative imports are resolved against the module's
-   package so ``from ..estimators import BucketEstimator`` inside
-   ``repro.serving.shard`` binds to
-   ``repro.estimators.BucketEstimator``;
+   are skipped);
+2. build per-module *project-aware* alias maps — unlike the
+   :class:`~repro.analysis.engine.ModuleContext` collector, relative
+   imports are resolved against the module's package so ``from
+   ..estimators import BucketEstimator`` inside ``repro.serving.shard``
+   binds to ``repro.estimators.BucketEstimator``;
 3. index top-level classes/functions and methods, then inventory every
-   class's ``self.x`` assignments for the pickle hazards and held
-   project classes described on :class:`~repro.analysis.project.model
-   .AttributeInfo`.
+   class's ``self.x`` assignments for the project classes they hold
+   (:class:`~repro.analysis.project.model.AttributeInfo`).
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, \
+    Sequence, Set, Tuple, Union
 
 from ..diagnostics import PARSE_RULE, Violation
-from ..engine import ModuleContext
+from ..engine import ModuleContext, parse_violation
 from .model import AttributeInfo, ClassInfo, FunctionInfo, Project
 
-__all__ = ["load_project"]
-
-#: Callables whose results never pickle: thread/process primitives.
-LOCK_FACTORIES: FrozenSet[str] = frozenset({
-    "threading.Lock",
-    "threading.RLock",
-    "threading.Condition",
-    "threading.Semaphore",
-    "threading.BoundedSemaphore",
-    "threading.Event",
-    "threading.Barrier",
-    "multiprocessing.Lock",
-    "multiprocessing.RLock",
-})
-
-#: Pool executors: live OS resources, never pickle.
-EXECUTOR_FACTORIES: FrozenSet[str] = frozenset({
-    "concurrent.futures.ProcessPoolExecutor",
-    "concurrent.futures.ThreadPoolExecutor",
-})
+__all__ = ["build_project", "load_project"]
 
 
 def _package_of(module: str, path: str) -> str:
@@ -163,26 +144,6 @@ def _index_module(project: Project, ctx: ModuleContext) -> None:
 # ----------------------------------------------------------------------
 # attribute inventory
 # ----------------------------------------------------------------------
-def _contains_id_call(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) \
-                and isinstance(sub.func, ast.Name) \
-                and sub.func.id == "id":
-            return True
-    return False
-
-
-def _dict_is_id_keyed(value: ast.expr) -> bool:
-    if isinstance(value, ast.DictComp):
-        return _contains_id_call(value.key)
-    if isinstance(value, ast.Dict):
-        return any(
-            key is not None and _contains_id_call(key)
-            for key in value.keys
-        )
-    return False
-
-
 def annotation_classes(
     project: Project, module: str, annotation: ast.expr
 ) -> Set[str]:
@@ -210,148 +171,58 @@ def annotation_classes(
     return found
 
 
-def _function_yields(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, (ast.Yield, ast.YieldFrom)):
-            return True
-    return False
-
-
-def _classify_value(
-    project: Project,
-    module: str,
-    info: ClassInfo,
-    name: str,
-    value: ast.expr,
-    line: int,
-) -> None:
-    """Fold one assigned value into the attribute record."""
-    record = info.attributes.setdefault(
-        name, AttributeInfo(name=name, line=line)
-    )
-    if _dict_is_id_keyed(value):
-        record.id_keyed = True
-    if isinstance(value, ast.GeneratorExp):
-        record.generator = True
-    if isinstance(value, ast.Call):
-        resolved = project.resolve(module, value.func)
-        if resolved is not None:
-            if resolved in project.classes:
-                record.held_classes.add(resolved)
-            elif resolved in LOCK_FACTORIES:
-                record.lock = True
-            elif resolved in EXECUTOR_FACTORIES:
-                record.executor = True
-            else:
-                callee = project.functions.get(resolved)
-                if callee is not None \
-                        and _function_yields(callee.node):
-                    record.generator = True
+def _self_attribute(node: ast.expr) -> Optional[str]:
+    """``x`` for a ``self.x`` target, else ``None``."""
+    if isinstance(node, ast.Attribute) \
+            and isinstance(node.value, ast.Name) \
+            and node.value.id == "self":
+        return node.attr
+    return None
 
 
 def _inventory_class(project: Project, info: ClassInfo) -> None:
-    """Scan every method for ``self.x`` state and its hazards."""
+    """Record, across every method, the project classes each ``self.x``
+    is annotated with or assigned a constructor call of."""
     module = info.module
     for method in info.methods.values():
         for node in ast.walk(method.node):
             if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    _inventory_target(
-                        project, module, info, target, node.value
-                    )
+                targets: List[ast.expr] = list(node.targets)
             elif isinstance(node, ast.AnnAssign):
-                target = node.target
-                if _is_self_attribute(target):
-                    assert isinstance(target, ast.Attribute)
-                    record = info.attributes.setdefault(
-                        target.attr,
-                        AttributeInfo(
-                            name=target.attr, line=node.lineno
-                        ),
-                    )
-                    record.held_classes.update(
-                        annotation_classes(
-                            project, module, node.annotation
-                        )
-                    )
-                    if node.value is not None:
-                        _classify_value(
-                            project, module, info, target.attr,
-                            node.value, node.lineno,
-                        )
-
-
-def _is_self_attribute(node: ast.expr) -> bool:
-    return isinstance(node, ast.Attribute) \
-        and isinstance(node.value, ast.Name) \
-        and node.value.id == "self"
-
-
-def _inventory_target(
-    project: Project,
-    module: str,
-    info: ClassInfo,
-    target: ast.expr,
-    value: ast.expr,
-) -> None:
-    if _is_self_attribute(target):
-        assert isinstance(target, ast.Attribute)
-        _classify_value(
-            project, module, info, target.attr, value, target.lineno
-        )
-        return
-    # ``self.x[id(est)] = ...`` — id()-keyed store into the attribute.
-    if isinstance(target, ast.Subscript) \
-            and _is_self_attribute(target.value) \
-            and _contains_id_call(target.slice):
-        attribute = target.value
-        assert isinstance(attribute, ast.Attribute)
-        record = info.attributes.setdefault(
-            attribute.attr,
-            AttributeInfo(name=attribute.attr, line=target.lineno),
-        )
-        record.id_keyed = True
+                targets = [node.target]
+            else:
+                continue
+            names = [
+                name for name in map(_self_attribute, targets)
+                if name is not None
+            ]
+            if not names:
+                continue
+            held: Set[str] = set()
+            if isinstance(node, ast.AnnAssign):
+                held = annotation_classes(
+                    project, module, node.annotation
+                )
+            if isinstance(node.value, ast.Call):
+                resolved = project.resolve(module, node.value.func)
+                if resolved is not None and resolved in project.classes:
+                    held.add(resolved)
+            for name in names:
+                info.attributes.setdefault(
+                    name, AttributeInfo(name=name)
+                ).held_classes.update(held)
 
 
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
-def load_project(
-    paths: Iterable[Union[str, Path]],
-) -> Tuple[Project, List[Violation]]:
-    """Parse ``paths`` into a project; unparseable files become
-    ``PARSE`` violations rather than exceptions."""
+def build_project(contexts: Sequence[ModuleContext]) -> Project:
+    """Index parsed modules into a project."""
     project = Project()
-    violations: List[Violation] = []
-    contexts: List[ModuleContext] = []
-    for raw in paths:
-        path = Path(raw)
-        posix = path.as_posix()
-        try:
-            source = path.read_text(encoding="utf-8")
-            ctx = ModuleContext.from_source(source, posix)
-        except SyntaxError as exc:
-            violations.append(Violation(
-                path=posix,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                rule=PARSE_RULE,
-                message=f"cannot parse file: {exc.msg}",
-            ))
-            continue
-        except OSError as exc:
-            violations.append(Violation(
-                path=posix,
-                line=1,
-                col=0,
-                rule=PARSE_RULE,
-                message=f"cannot read file: {exc}",
-            ))
-            continue
-        contexts.append(ctx)
+    for ctx in contexts:
         project.modules[ctx.module] = ctx
         collector = _ProjectImportCollector(
-            _package_of(ctx.module, posix)
+            _package_of(ctx.module, ctx.path)
         )
         collector.visit(ctx.tree)
         project.module_aliases[ctx.module] = collector.aliases
@@ -361,4 +232,30 @@ def load_project(
         _index_module(project, ctx)
     for info in project.classes.values():
         _inventory_class(project, info)
-    return project, violations
+    return project
+
+
+def load_project(
+    paths: Iterable[Union[str, Path]],
+) -> Tuple[Project, List[Violation]]:
+    """Parse ``paths`` into a project; unparseable files become
+    ``PARSE`` violations rather than exceptions."""
+    violations: List[Violation] = []
+    contexts: List[ModuleContext] = []
+    for raw in paths:
+        path = Path(raw)
+        posix = path.as_posix()
+        try:
+            source = path.read_text(encoding="utf-8")
+            contexts.append(ModuleContext.from_source(source, posix))
+        except SyntaxError as exc:
+            violations.append(parse_violation(posix, exc))
+        except OSError as exc:
+            violations.append(Violation(
+                path=posix,
+                line=1,
+                col=0,
+                rule=PARSE_RULE,
+                message=f"cannot read file: {exc}",
+            ))
+    return build_project(contexts), violations

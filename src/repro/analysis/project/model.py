@@ -1,11 +1,10 @@
 """Project-wide symbol model: modules, classes, functions, attributes.
 
-The per-file linter (:mod:`repro.analysis.engine`) sees one module at a
-time; the protocols that keep the serving spine honest — revalidation
-before kernel-snapshot reads, picklable worker payloads, seed
-threading — span
-modules.  A :class:`Project` is the shared substrate the cross-module
-rules reason over:
+A per-module rule sees one module at a time; the protocols that keep
+the serving spine honest — revalidation before kernel-snapshot reads,
+deadline-bounded worker replies, seed threading — span modules.  A
+:class:`Project` is the shared substrate the whole-program rules reason
+over:
 
 * ``modules`` — every parsed :class:`~repro.analysis.engine
   .ModuleContext`, keyed by dotted module name;
@@ -13,12 +12,12 @@ rules reason over:
   name (``repro.estimators.bucket_estimator.BucketEstimator`` and
   ``...BucketEstimator.estimate``), methods included;
 * ``module_aliases`` — a *project-aware* import map per module that,
-  unlike the per-file map, also resolves relative imports
+  unlike the :class:`ModuleContext` map, also resolves relative imports
   (``from ..estimators import BucketEstimator``) so cross-package
   references land on their defining module;
-* per-class :class:`AttributeInfo` inventories recording what each
-  ``self.x`` holds — project classes (the pickle-reachability edges),
-  id()-keyed dicts, locks, executors, generators (the pickle hazards).
+* per-class :class:`AttributeInfo` inventories recording which
+  project classes each ``self.x`` holds — what the call graph's
+  receiver inference reads for ``self.x.method()`` calls.
 
 Resolution follows re-exports: ``repro.estimators.BucketEstimator``
 canonicalises to ``repro.estimators.bucket_estimator.BucketEstimator``
@@ -48,48 +47,15 @@ class AttributeInfo:
     ----------
     name:
         Attribute name without the ``self.`` prefix.
-    line:
-        First assignment's line, for diagnostics.
-    id_keyed:
-        The attribute is (or is stored into as) a dict keyed by
-        ``id(...)`` — object identities do not survive pickling.
-    lock, executor, generator:
-        The attribute holds a threading primitive, a pool executor, or
-        a generator — none of which pickle.
     held_classes:
         Qualified names of project classes the attribute holds,
         gathered from constructor assignments and annotations
         (``Optional[X]``, ``List[X]``, ``Mapping[K, X]`` all
-        contribute ``X``).  These are the edges pickle reachability
-        walks.
+        contribute ``X``).
     """
 
     name: str
-    line: int = 0
-    id_keyed: bool = False
-    lock: bool = False
-    executor: bool = False
-    generator: bool = False
     held_classes: Set[str] = field(default_factory=set)
-
-    @property
-    def risky(self) -> bool:
-        """True when pickling this attribute loses or breaks state."""
-        return self.id_keyed or self.lock or self.executor \
-            or self.generator
-
-    def risk_reasons(self) -> List[str]:
-        """Human-readable hazard names, for diagnostics."""
-        reasons: List[str] = []
-        if self.id_keyed:
-            reasons.append("an id()-keyed dict")
-        if self.lock:
-            reasons.append("a lock")
-        if self.executor:
-            reasons.append("an executor")
-        if self.generator:
-            reasons.append("a generator")
-        return reasons
 
 
 @dataclass

@@ -1,10 +1,11 @@
-"""The cross-module rules: serving protocols, machine-checked.
+"""The whole-program rules: serving protocols, machine-checked.
 
 Every rule subclasses :class:`ProjectRule` and registers in
-:data:`PROJECT_RULES` — a registry deliberately separate from the
-per-file :data:`repro.analysis.rules.RULES` so each family keeps its
-own construction signature (one runs per module, the other per
-project).
+:data:`PROJECT_RULES` — a registry separate from the per-module
+:data:`repro.analysis.rules.RULES` because the two families are built
+differently (one rule object per module there, one per project here);
+the lint pass runs both.  A rule's scopes are the module constants
+defined next to it.
 
 Rule codes
 ----------
@@ -22,15 +23,6 @@ EPOCH001
     finding: it swaps the summary without the owner's atomic epoch
     bump, so a consumer can serve the new buckets against a stale
     epoch — mutations must publish through ``replace_buckets()``.
-PICKLE001
-    Worker-payload pickling.  A class reachable as an argument to a
-    pickle boundary (``ShardWorkerPool``, ``parallel_map``,
-    ``ProcessPoolExecutor``, ``pickle.dumps``) — directly or through
-    held attributes — that holds id()-keyed dicts, locks, executors
-    or generators must define a ``__getstate__``/``__setstate__``
-    pair.  Defining exactly one of the pair is a finding for *every*
-    class: a one-sided hook silently resurrects stale state (the PR 6
-    bug class).
 SEED001
     Interprocedural seed threading, escalating DET001.  An RNG
     construction must take its seed from a parameter or a literal,
@@ -50,33 +42,24 @@ RES002
     dies mid-reply exhausts a logical budget instead of hanging the
     serve.  Worker-side idle loops are exempt by name; their
     supervisor kills them.
-SUP001
-    Suppression hygiene: a ``# repro: noqa[RULE]`` comment that
-    matches no finding on its line is itself a finding (computed
-    against the *raw*, pre-suppression finding set of every rule,
-    file-level and project-level).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, \
-    Set, Tuple, Type
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, \
+    Tuple, Type
 
-from ..config import LintConfig
 from ..diagnostics import Violation
-from ..engine import ModuleContext, iter_suppression_comments
-from .callgraph import CallGraph, calls_in, infer_expr_class, \
-    local_class_env
+from ..engine import ModuleContext
+from .callgraph import CallGraph, calls_in
 from .dominance import EVENT_READ, EVENT_REVALIDATE, undominated_reads
-from .loader import EXECUTOR_FACTORIES
 from .model import ClassInfo, FunctionInfo, Project
 
 __all__ = [
     "PROJECT_RULES",
     "ProjectRule",
     "register_project",
-    "unused_suppression_violations",
 ]
 
 #: Registry of every cross-module rule, keyed by code.
@@ -102,20 +85,14 @@ class ProjectRule:
     #: One-line description for ``repro-spatial lint --list-rules``.
     summary: str = ""
 
-    def __init__(
-        self,
-        project: Project,
-        config: LintConfig,
-        graph: Optional[CallGraph] = None,
-    ) -> None:
+    def __init__(self, project: Project) -> None:
         self.project = project
-        self.config = config
-        self._graph = graph
+        self._graph: Optional[CallGraph] = None
         self.violations: List[Violation] = []
 
     @property
     def graph(self) -> CallGraph:
-        """The shared call graph, built lazily when not injected."""
+        """The project's call graph, built on first use."""
         if self._graph is None:
             self._graph = CallGraph.build(self.project)
         return self._graph
@@ -140,6 +117,36 @@ def _is_dunder(name: str) -> bool:
 # ----------------------------------------------------------------------
 # EPOCH001 — revalidation dominance
 # ----------------------------------------------------------------------
+#: Module prefixes whose revalidating classes EPOCH001 checks.
+EPOCH001_PACKAGES: Tuple[str, ...] = (
+    "repro.serving",
+    "repro.estimators",
+    "repro.tuning",
+)
+
+#: Method names that bring derived state up to date; a class is in
+#: EPOCH001 scope when it defines or inherits one of these.
+EPOCH001_REVALIDATORS: Tuple[str, ...] = ("_revalidate", "sync")
+
+#: ``self.<attr>`` names holding derived state — the epoch-keyed
+#: kernel snapshot (``_arrays``).  A call that takes one as its
+#: receiver (``self._arrays.estimate_block(...)``) or as an argument
+#: (``estimate_many_arrays(self._arrays, ...)``) reads it.
+EPOCH001_SNAPSHOT_ATTRS: FrozenSet[str] = frozenset({"_arrays"})
+
+#: Methods never analysed (constructors; the revalidators themselves
+#: are always exempt).
+EPOCH001_EXEMPT_METHODS: FrozenSet[str] = frozenset({
+    "__init__", "__repr__", "__getstate__", "__setstate__",
+})
+
+#: Published-summary attributes: storing one on any receiver other
+#: than ``self`` (``hist.buckets = ...``) bypasses the owner's atomic
+#: epoch-bump publish (``replace_buckets``) and is flagged in every
+#: EPOCH001 package.
+EPOCH001_MUTATION_ATTRS: FrozenSet[str] = frozenset({"buckets"})
+
+
 @register_project
 class EpochDominanceRule(ProjectRule):
     """Kernel-snapshot reads must follow a revalidate."""
@@ -153,15 +160,15 @@ class EpochDominanceRule(ProjectRule):
     def run(self) -> List[Violation]:
         for info in self.project.classes.values():
             ctx = info.ctx
-            if not ctx.in_packages(self.config.epoch001_packages):
+            if not ctx.in_packages(EPOCH001_PACKAGES):
                 continue
             if not self.project.defines_or_inherits(
-                info.qualname, self.config.epoch001_revalidators
+                info.qualname, EPOCH001_REVALIDATORS
             ):
                 continue
             self._check_class(info)
         for ctx in self.project.modules.values():
-            if ctx.in_packages(self.config.epoch001_packages):
+            if ctx.in_packages(EPOCH001_PACKAGES):
                 self._check_summary_stores(ctx)
         return self.violations
 
@@ -185,8 +192,7 @@ class EpochDominanceRule(ProjectRule):
             for target in targets:
                 if not isinstance(target, ast.Attribute):
                     continue
-                if target.attr not in \
-                        self.config.epoch001_mutation_attrs:
+                if target.attr not in EPOCH001_MUTATION_ATTRS:
                     continue
                 receiver = target.value
                 if isinstance(receiver, ast.Name) \
@@ -203,18 +209,13 @@ class EpochDominanceRule(ProjectRule):
     def _analysed_methods(
         self, info: ClassInfo
     ) -> Dict[str, FunctionInfo]:
-        exempt = set(self.config.epoch001_exempt_methods)
-        exempt.update(self.config.epoch001_revalidators)
+        exempt = set(EPOCH001_EXEMPT_METHODS)
+        exempt.update(EPOCH001_REVALIDATORS)
         return {
             name: method
             for name, method in info.methods.items()
             if name not in exempt
         }
-
-    def _classifier(
-        self, needy: FrozenSet[str]
-    ) -> "_EpochClassifier":
-        return _EpochClassifier(self.config, needy)
 
     def _check_class(self, info: ClassInfo) -> None:
         methods = self._analysed_methods(info)
@@ -224,7 +225,7 @@ class EpochDominanceRule(ProjectRule):
         # callers needy in turn.
         needy: Set[str] = set()
         for _ in range(len(methods) + 1):
-            classifier = self._classifier(frozenset(needy))
+            classifier = _EpochClassifier(frozenset(needy))
             grown = set(needy)
             for name, method in methods.items():
                 if not name.startswith("_") or _is_dunder(name):
@@ -235,7 +236,7 @@ class EpochDominanceRule(ProjectRule):
                 break
             needy = grown
 
-        classifier = self._classifier(frozenset(needy))
+        classifier = _EpochClassifier(frozenset(needy))
         internally_called = self._internal_callees(info)
         for name, method in methods.items():
             private = name.startswith("_") and not _is_dunder(name)
@@ -276,7 +277,7 @@ class EpochDominanceRule(ProjectRule):
                 f"snapshot)"
             )
         revalidators = "/".join(
-            f"{name}()" for name in self.config.epoch001_revalidators
+            f"{name}()" for name in EPOCH001_REVALIDATORS
         )
         return (
             f"{what} in {info.name}.{method} is not dominated by "
@@ -288,10 +289,7 @@ class EpochDominanceRule(ProjectRule):
 class _EpochClassifier:
     """Call classifier handed to the dominance walker."""
 
-    def __init__(
-        self, config: LintConfig, needy: FrozenSet[str]
-    ) -> None:
-        self.config = config
+    def __init__(self, needy: FrozenSet[str]) -> None:
         self.needy = needy
 
     def __call__(self, call: ast.Call) -> Optional[str]:
@@ -299,7 +297,7 @@ class _EpochClassifier:
         if isinstance(func, ast.Attribute):
             receiver = func.value
             if isinstance(receiver, ast.Name) and receiver.id == "self":
-                if func.attr in self.config.epoch001_revalidators:
+                if func.attr in EPOCH001_REVALIDATORS:
                     return EVENT_REVALIDATE
                 if func.attr in self.needy:
                     return EVENT_READ
@@ -313,256 +311,28 @@ class _EpochClassifier:
         return None
 
     def _is_snapshot(self, node: ast.expr) -> bool:
-        """``self.<attr>`` for a configured snapshot attribute."""
+        """``self.<attr>`` for a kernel-snapshot attribute."""
         return isinstance(node, ast.Attribute) \
             and isinstance(node.value, ast.Name) \
             and node.value.id == "self" \
-            and node.attr in self.config.epoch001_snapshot_attrs
-
-
-# ----------------------------------------------------------------------
-# PICKLE001 — worker payloads must pickle honestly
-# ----------------------------------------------------------------------
-@register_project
-class PicklePayloadRule(ProjectRule):
-    """Pickle-reachable classes with hazardous state need both hooks."""
-
-    code = "PICKLE001"
-    summary = (
-        "classes shipped across pickle boundaries holding id()-keyed "
-        "dicts/locks/executors/generators need a matching "
-        "__getstate__/__setstate__ pair (both or neither, always)"
-    )
-
-    def run(self) -> List[Violation]:
-        self._check_hook_pairs()
-        reachable = self._reachable_classes()
-        for qualname, via in sorted(reachable.items()):
-            info = self.project.classes.get(qualname)
-            if info is None:
-                continue
-            risky = sorted(
-                record.name
-                for record in info.attributes.values()
-                if record.risky
-            )
-            if not risky:
-                continue
-            if self.project.find_method(qualname, "__getstate__") \
-                    and self.project.find_method(
-                        qualname, "__setstate__"):
-                continue
-            reasons = sorted({
-                reason
-                for record in info.attributes.values()
-                if record.risky
-                for reason in record.risk_reasons()
-            })
-            self.report(
-                info.ctx.path, info.node,
-                f"class {info.name} crosses a pickle boundary "
-                f"({via}) holding {', '.join(reasons)} "
-                f"({', '.join(risky)}); define a "
-                f"__getstate__/__setstate__ pair that translates "
-                f"them across the process boundary",
-            )
-        return self.violations
-
-    # ------------------------------------------------------------------
-    def _check_hook_pairs(self) -> None:
-        for info in self.project.classes.values():
-            has_get = info.defines("__getstate__")
-            has_set = info.defines("__setstate__")
-            if has_get == has_set:
-                continue
-            present = "__getstate__" if has_get else "__setstate__"
-            missing = "__setstate__" if has_get else "__getstate__"
-            self.report(
-                info.ctx.path, info.node,
-                f"class {info.name} defines {present} without "
-                f"{missing}; the hooks must come as a pair or "
-                f"unpickling silently resurrects stale state",
-            )
-
-    # ------------------------------------------------------------------
-    def _reachable_classes(self) -> Dict[str, str]:
-        """Class qualname -> witness string, via boundary args and
-        transitive held attributes."""
-        roots: Dict[str, str] = {}
-        for fn in self.project.functions.values():
-            executors = _executor_locals(fn, self.project)
-            env = local_class_env(fn, self.project)
-            for call in calls_in(fn.node):
-                boundary = self._boundary_name(fn, call, executors)
-                if boundary is None:
-                    continue
-                witness = (
-                    f"{boundary} at {fn.ctx.path}:{call.lineno}"
-                )
-                for arg in list(call.args) + [
-                    kw.value for kw in call.keywords
-                ]:
-                    for cls in _payload_classes(
-                        arg, env, fn, self.project
-                    ):
-                        roots.setdefault(cls, witness)
-        # transitive closure over held attributes
-        reachable = dict(roots)
-        queue = list(roots)
-        while queue:
-            current = queue.pop()
-            info = self.project.classes.get(current)
-            if info is None:
-                continue
-            for record in info.attributes.values():
-                for held in record.held_classes:
-                    if held not in reachable:
-                        reachable[held] = (
-                            f"held by {info.name}.{record.name}; "
-                            f"{reachable[current]}"
-                        )
-                        queue.append(held)
-        return reachable
-
-    def _boundary_name(
-        self,
-        fn: FunctionInfo,
-        call: ast.Call,
-        executors: Set[str],
-    ) -> Optional[str]:
-        resolved = self.project.resolve(fn.module, call.func)
-        if resolved is not None \
-                and resolved in self.config.pickle001_boundaries:
-            return resolved.rsplit(".", 1)[-1]
-        func = call.func
-        if isinstance(func, ast.Attribute) \
-                and func.attr in ("submit", "map") \
-                and isinstance(func.value, ast.Name) \
-                and func.value.id in executors:
-            return f"executor.{func.attr}"
-        return None
-
-
-def _executor_locals(fn: FunctionInfo, project: Project) -> Set[str]:
-    """Local names bound to pool executors (``with ... as pool``)."""
-    names: Set[str] = set()
-    for node in ast.walk(fn.node):
-        value: Optional[ast.expr] = None
-        target: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            value, target = node.value, node.targets[0]
-        elif isinstance(node, ast.withitem):
-            value, target = node.context_expr, node.optional_vars
-        if not isinstance(value, ast.Call) \
-                or not isinstance(target, ast.Name):
-            continue
-        resolved = project.resolve(fn.module, value.func)
-        if resolved in EXECUTOR_FACTORIES:
-            names.add(target.id)
-    return names
-
-
-def _payload_classes(
-    expr: ast.expr,
-    env: Dict[str, str],
-    fn: FunctionInfo,
-    project: Project,
-    _depth: int = 0,
-) -> Set[str]:
-    """Project classes an argument expression may evaluate to."""
-    if _depth > 6:
-        return set()
-    found: Set[str] = set()
-    if isinstance(expr, ast.Name):
-        if expr.id == "self" and fn.class_name is not None:
-            found.add(fn.class_name)
-        elif expr.id in env:
-            found.add(env[expr.id])
-    elif isinstance(expr, ast.Starred):
-        found |= _payload_classes(
-            expr.value, env, fn, project, _depth + 1
-        )
-    elif isinstance(expr, ast.Call):
-        resolved = project.resolve(fn.module, expr.func)
-        if resolved is not None and resolved in project.classes:
-            found.add(resolved)
-        else:
-            for arg in expr.args:
-                found |= _payload_classes(
-                    arg, env, fn, project, _depth + 1
-                )
-    elif isinstance(expr, ast.Attribute):
-        receiver = infer_expr_class(expr.value, env, fn, project)
-        if receiver is None and isinstance(expr.value, ast.Name) \
-                and expr.value.id == "self":
-            receiver = fn.class_name
-        if receiver is not None:
-            info = project.classes.get(receiver)
-            if info is not None:
-                record = info.attributes.get(expr.attr)
-                if record is not None:
-                    found |= record.held_classes
-    elif isinstance(expr, (ast.List, ast.Tuple, ast.Set)):
-        for element in expr.elts:
-            found |= _payload_classes(
-                element, env, fn, project, _depth + 1
-            )
-    elif isinstance(expr, ast.Dict):
-        for value in list(expr.keys) + list(expr.values):
-            if value is not None:
-                found |= _payload_classes(
-                    value, env, fn, project, _depth + 1
-                )
-    elif isinstance(
-        expr, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
-               ast.DictComp)
-    ):
-        comp_env = dict(env)
-        elem_classes: Dict[str, Set[str]] = {}
-        for gen in expr.generators:
-            if not isinstance(gen.target, ast.Name):
-                continue
-            classes = _element_classes(
-                gen.iter, comp_env, fn, project, _depth + 1
-            )
-            elem_classes[gen.target.id] = classes
-            if len(classes) == 1:
-                comp_env[gen.target.id] = next(iter(classes))
-        outputs: List[ast.expr] = []
-        if isinstance(expr, ast.DictComp):
-            outputs = [expr.key, expr.value]
-        else:
-            outputs = [expr.elt]
-        for output in outputs:
-            if isinstance(output, ast.Name) \
-                    and output.id in elem_classes:
-                found |= elem_classes[output.id]
-            else:
-                found |= _payload_classes(
-                    output, comp_env, fn, project, _depth + 1
-                )
-    return found
-
-
-def _element_classes(
-    iterable: ast.expr,
-    env: Dict[str, str],
-    fn: FunctionInfo,
-    project: Project,
-    _depth: int,
-) -> Set[str]:
-    """Classes of the *elements* yielded by iterating ``iterable``.
-
-    Attribute iterables use the held-class inventory, which already
-    flattens container annotations (``List[X]`` holds ``X``), so the
-    payload and element views coincide.
-    """
-    return _payload_classes(iterable, env, fn, project, _depth)
+            and node.attr in EPOCH001_SNAPSHOT_ATTRS
 
 
 # ----------------------------------------------------------------------
 # SEED001 — interprocedural seed threading
 # ----------------------------------------------------------------------
+#: Qualified RNG constructors whose seed argument SEED001 traces
+#: across call edges.
+SEED001_CONSTRUCTORS: FrozenSet[str] = frozenset({
+    "numpy.random.default_rng",
+    "numpy.random.Generator",
+    "numpy.random.PCG64",
+    "numpy.random.MT19937",
+    "numpy.random.Philox",
+    "numpy.random.SFC64",
+    "numpy.random.SeedSequence",
+})
+
 #: Classification results for a seed expression.
 _SEED_OK = "ok"
 _SEED_GLOBAL = "global"
@@ -586,9 +356,7 @@ class SeedThreadingRule(ProjectRule):
         # Construction sites: classify the seed expression in place
         # and record which parameters feed seeds.
         for ctx in self.project.modules.values():
-            for call, scopes in _rng_constructions(
-                ctx, self.project, self.config.seed001_constructors
-            ):
+            for call, scopes in _rng_constructions(ctx, self.project):
                 seed = _seed_argument(call)
                 if seed is None:
                     continue  # DET001 owns the missing-seed case
@@ -719,7 +487,6 @@ class SeedThreadingRule(ProjectRule):
 def _rng_constructions(
     ctx: ModuleContext,
     project: Project,
-    constructors: FrozenSet[str],
 ) -> List[Tuple[ast.Call, List[ast.AST]]]:
     """(call, enclosing function-scope stack) per RNG construction."""
     found: List[Tuple[ast.Call, List[ast.AST]]] = []
@@ -734,7 +501,8 @@ def _rng_constructions(
                 child_scopes = scopes + [child]
             if isinstance(child, ast.Call):
                 resolved = project.resolve(ctx.module, child.func)
-                if resolved is not None and resolved in constructors:
+                if resolved is not None \
+                        and resolved in SEED001_CONSTRUCTORS:
                     found.append((child, list(child_scopes)))
             walk(child, child_scopes)
 
@@ -944,6 +712,14 @@ def _argument_for(
 # ----------------------------------------------------------------------
 # ORDER001 — unordered iteration feeding float accumulation
 # ----------------------------------------------------------------------
+#: Module prefixes where iteration over unordered sets must not feed
+#: float accumulation.
+ORDER001_PACKAGES: Tuple[str, ...] = (
+    "repro.core",
+    "repro.estimators",
+    "repro.serving",
+)
+
 #: Reducers whose argument order changes the float result.
 _ORDER_REDUCERS = frozenset({
     "sum", "math.fsum", "numpy.sum", "numpy.nansum", "numpy.prod",
@@ -967,7 +743,7 @@ class UnorderedAccumulationRule(ProjectRule):
 
     def run(self) -> List[Violation]:
         for ctx in self.project.modules.values():
-            if not ctx.in_packages(self.config.order001_packages):
+            if not ctx.in_packages(ORDER001_PACKAGES):
                 continue
             self._check_module(ctx)
         return self.violations
@@ -1104,6 +880,25 @@ def _mentions(expr: ast.expr, name: str) -> bool:
 # ----------------------------------------------------------------------
 # RES002 — deadline-dominated IPC receive loops
 # ----------------------------------------------------------------------
+#: Module prefixes whose IPC receive loops RES002 checks.
+RES002_PACKAGES: Tuple[str, ...] = ("repro.serving",)
+
+#: Attribute calls treated as blocking IPC reads (connection
+#: ``recv``/``recv_bytes``/``poll``).
+RES002_RECV_METHODS: FrozenSet[str] = frozenset({
+    "recv", "recv_bytes", "poll",
+})
+
+#: Attribute calls that consume deadline budget (``Deadline.check``);
+#: each IPC read must be dominated by one.
+RES002_CHECK_ATTRS: FrozenSet[str] = frozenset({"check"})
+
+#: Function/method names RES002 never analyses — the worker-side idle
+#: loop blocks on ``recv`` by design (its supervisor kills it); only
+#: parent-side loops must carry deadlines.
+RES002_EXEMPT_FUNCTIONS: Tuple[str, ...] = ("_shard_worker_main",)
+
+
 @register_project
 class DeadlineRecvRule(ProjectRule):
     """Blocking IPC reads in serving code must sit under a deadline.
@@ -1115,7 +910,7 @@ class DeadlineRecvRule(ProjectRule):
     path, the same walker EPOCH001 uses — by a deadline check
     (``deadline.check(...)``), so a worker that stops replying runs
     the loop out of logical budget instead of blocking forever.
-    Worker-side idle loops (``res002_exempt_functions``) legitimately
+    Worker-side idle loops (:data:`RES002_EXEMPT_FUNCTIONS`) legitimately
     block on ``recv``: their supervisor kills them, so they carry no
     deadline.
     """
@@ -1128,14 +923,12 @@ class DeadlineRecvRule(ProjectRule):
     )
 
     def run(self) -> List[Violation]:
-        exempt = set(self.config.res002_exempt_functions)
-        classifier = _RecvClassifier(self.config)
         for info in self.project.functions.values():
-            if not info.ctx.in_packages(self.config.res002_packages):
+            if not info.ctx.in_packages(RES002_PACKAGES):
                 continue
-            if info.name in exempt:
+            if info.name in RES002_EXEMPT_FUNCTIONS:
                 continue
-            for call in undominated_reads(info.node, classifier):
+            for call in undominated_reads(info.node, _classify_recv):
                 self.report(
                     info.ctx.path, call,
                     self._message(info, call),
@@ -1152,96 +945,14 @@ class DeadlineRecvRule(ProjectRule):
         )
 
 
-class _RecvClassifier:
+def _classify_recv(call: ast.Call) -> Optional[str]:
     """Call classifier for RES002's dominance walk."""
-
-    def __init__(self, config: LintConfig) -> None:
-        self.config = config
-
-    def __call__(self, call: ast.Call) -> Optional[str]:
-        func = call.func
-        if not isinstance(func, ast.Attribute):
-            return None
-        if func.attr in self.config.res002_check_attrs:
-            return EVENT_REVALIDATE
-        if func.attr in self.config.res002_recv_methods:
-            return EVENT_READ
+    func = call.func
+    if not isinstance(func, ast.Attribute):
         return None
+    if func.attr in RES002_CHECK_ATTRS:
+        return EVENT_REVALIDATE
+    if func.attr in RES002_RECV_METHODS:
+        return EVENT_READ
+    return None
 
-
-# ----------------------------------------------------------------------
-# SUP001 — suppression hygiene
-# ----------------------------------------------------------------------
-@register_project
-class UnusedSuppressionRule(ProjectRule):
-    """``# repro: noqa`` comments must suppress something real."""
-
-    code = "SUP001"
-    summary = (
-        "a # repro: noqa[RULE] comment matching no finding on its "
-        "line is itself a finding (checked against every rule's raw "
-        "output)"
-    )
-
-    def run(self) -> List[Violation]:
-        # Standalone mode: recompute the raw finding set ourselves.
-        # The project driver precomputes it and calls the helper
-        # directly instead.
-        from ..rules import RULES
-
-        raw: List[Violation] = []
-        for ctx in self.project.modules.values():
-            for _code, rule_class in sorted(RULES.items()):
-                raw.extend(rule_class(ctx, self.config).run())
-        for code, rule_class in sorted(PROJECT_RULES.items()):
-            if code == self.code:
-                continue
-            raw.extend(
-                rule_class(self.project, self.config, self._graph)
-                .run()
-            )
-        return unused_suppression_violations(
-            self.project.modules.values(), raw
-        )
-
-
-def unused_suppression_violations(
-    contexts: Iterable[ModuleContext],
-    raw_violations: Sequence[Violation],
-) -> List[Violation]:
-    """SUP001 findings given the raw (pre-suppression) finding set."""
-    by_file_line: Dict[str, Dict[int, Set[str]]] = {}
-    for violation in raw_violations:
-        by_file_line.setdefault(
-            violation.path, {}
-        ).setdefault(violation.line, set()).add(violation.rule)
-
-    found: List[Violation] = []
-    for ctx in contexts:
-        lines = by_file_line.get(ctx.path, {})
-        for line, col, rules in iter_suppression_comments(ctx.source):
-            present = lines.get(line, set())
-            if rules is None:
-                if not present:
-                    found.append(Violation(
-                        path=ctx.path, line=line, col=col,
-                        rule="SUP001",
-                        message=(
-                            "unused blanket '# repro: noqa' — no "
-                            "rule reports on this line; delete the "
-                            "suppression"
-                        ),
-                    ))
-                continue
-            unused = sorted(rules - present)
-            if unused:
-                found.append(Violation(
-                    path=ctx.path, line=line, col=col,
-                    rule="SUP001",
-                    message=(
-                        f"unused suppression for "
-                        f"{', '.join(unused)} — no such finding on "
-                        f"this line; delete the stale noqa"
-                    ),
-                ))
-    return found

@@ -1,4 +1,4 @@
-"""Lint-result rendering: human text, machine JSON, and SARIF.
+"""Lint-result rendering: human text and machine JSON.
 
 The JSON document shape is pinned by :data:`LINT_JSON_SCHEMA` (and
 checked by :func:`validate_lint_json`, which the test suite runs over
@@ -26,14 +26,10 @@ from .engine import LintResult
 
 __all__ = [
     "LINT_JSON_SCHEMA",
-    "SARIF_VERSION",
     "render_text",
     "render_json",
-    "render_sarif",
     "lint_json_dict",
-    "sarif_dict",
     "validate_lint_json",
-    "validate_sarif",
 ]
 
 #: Bump when the report layout changes incompatibly.
@@ -117,126 +113,6 @@ def render_json(result: LintResult, *, indent: int = 2) -> str:
     """The report serialised as JSON text."""
     return json.dumps(lint_json_dict(result), indent=indent,
                       sort_keys=True)
-
-
-#: SARIF spec version emitted by :func:`sarif_dict`.
-SARIF_VERSION = "2.1.0"
-
-_SARIF_SCHEMA_URI = "https://json.schemastore.org/sarif-2.1.0.json"
-
-
-def _rule_summaries() -> Dict[str, str]:
-    """Code -> one-line summary across both rule registries."""
-    from .project.rules import PROJECT_RULES
-    from .rules import RULES
-
-    summaries: Dict[str, str] = {
-        code: rule_class.summary
-        for code, rule_class in RULES.items()
-    }
-    for code, project_class in PROJECT_RULES.items():
-        summaries[code] = project_class.summary
-    return summaries
-
-
-def sarif_dict(result: LintResult) -> Dict[str, Any]:
-    """The report as a minimal SARIF 2.1.0 document.
-
-    One run, driver ``repro-lint``; every finding is ``level: error``
-    (this linter has no warning tier — a finding either blocks CI or
-    is baselined away).  Only rules that actually fired are listed in
-    the driver, keeping uploads small.
-    """
-    summaries = _rule_summaries()
-    fired = sorted(result.by_rule())
-    rules = [
-        {
-            "id": code,
-            "shortDescription": {
-                "text": summaries.get(code, code),
-            },
-        }
-        for code in fired
-    ]
-    rule_index = {code: i for i, code in enumerate(fired)}
-    results = [
-        {
-            "ruleId": violation.rule,
-            "ruleIndex": rule_index[violation.rule],
-            "level": "error",
-            "message": {"text": violation.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": violation.path},
-                    "region": {
-                        "startLine": violation.line,
-                        "startColumn": violation.col + 1,
-                    },
-                },
-            }],
-        }
-        for violation in result.violations
-    ]
-    return {
-        "$schema": _SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "repro-lint",
-                    "rules": rules,
-                },
-            },
-            "results": results,
-        }],
-    }
-
-
-def render_sarif(result: LintResult, *, indent: int = 2) -> str:
-    """The SARIF document serialised as JSON text."""
-    return json.dumps(sarif_dict(result), indent=indent,
-                      sort_keys=True)
-
-
-def validate_sarif(doc: Any) -> None:
-    """Raise :class:`ValueError` unless ``doc`` is a well-formed
-    repro-lint SARIF document (structural check, no dependencies)."""
-    if not isinstance(doc, dict):
-        raise ValueError("SARIF report must be a JSON object")
-    if doc.get("version") != SARIF_VERSION:
-        raise ValueError(f"unknown SARIF version {doc.get('version')!r}")
-    runs = doc.get("runs")
-    if not isinstance(runs, list) or len(runs) != 1:
-        raise ValueError("SARIF report must carry exactly one run")
-    run = runs[0]
-    driver = run.get("tool", {}).get("driver", {})
-    if driver.get("name") != "repro-lint":
-        raise ValueError(f"unknown SARIF driver {driver.get('name')!r}")
-    rule_ids = {rule.get("id") for rule in driver.get("rules", [])}
-    results = run.get("results")
-    if not isinstance(results, list):
-        raise ValueError("SARIF run.results must be an array")
-    for i, item in enumerate(results):
-        if not isinstance(item, dict):
-            raise ValueError(f"results[{i}] must be an object")
-        if item.get("ruleId") not in rule_ids:
-            raise ValueError(
-                f"results[{i}].ruleId {item.get('ruleId')!r} is not "
-                f"declared in the driver rules"
-            )
-        if not item.get("message", {}).get("text"):
-            raise ValueError(f"results[{i}] is missing message.text")
-        locations = item.get("locations")
-        if not isinstance(locations, list) or not locations:
-            raise ValueError(f"results[{i}] needs at least one location")
-        region = locations[0].get("physicalLocation", {}) \
-            .get("region", {})
-        if not isinstance(region.get("startLine"), int) \
-                or region["startLine"] < 1:
-            raise ValueError(f"results[{i}].startLine must be >= 1")
-        if not isinstance(region.get("startColumn"), int) \
-                or region["startColumn"] < 1:
-            raise ValueError(f"results[{i}].startColumn must be >= 1")
 
 
 def validate_lint_json(doc: Any) -> None:

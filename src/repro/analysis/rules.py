@@ -2,10 +2,11 @@
 
 Every rule is an :class:`ast.NodeVisitor` subclass registered in
 :data:`RULES` via :func:`register`.  The engine instantiates one rule
-object per (file, rule) pair and calls :meth:`Rule.run`; rules report
+object per (module, rule) pair and calls :meth:`Rule.run`; rules report
 findings with :meth:`Rule.report` and never raise on weird-but-legal
 code — a linter that crashes on unusual input is worse than one that
-misses a finding.
+misses a finding.  A rule's scopes and thresholds are the module
+constants defined next to it.
 
 Rule codes
 ----------
@@ -33,9 +34,9 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Optional, Sequence, Set, Type
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, \
+    Tuple, Type
 
-from .config import LintConfig
 from .diagnostics import Violation
 from .engine import ModuleContext
 
@@ -62,9 +63,8 @@ class Rule(ast.NodeVisitor):
     #: One-line description shown by ``repro-spatial lint --list-rules``.
     summary: str = ""
 
-    def __init__(self, ctx: ModuleContext, config: LintConfig) -> None:
+    def __init__(self, ctx: ModuleContext) -> None:
         self.ctx = ctx
-        self.config = config
         self.violations: List[Violation] = []
 
     def run(self) -> List[Violation]:
@@ -90,6 +90,34 @@ class Rule(ast.NodeVisitor):
 # ----------------------------------------------------------------------
 # DET001 — determinism
 # ----------------------------------------------------------------------
+#: Module prefixes where DET001 is not enforced: the observability
+#: layer legitimately reads wall clocks.
+DET001_ALLOW_MODULES: Tuple[str, ...] = ("repro.obs",)
+
+#: Fully-qualified callables that break run determinism.
+DET001_BANNED_CALLS: FrozenSet[str] = frozenset({
+    "numpy.random.seed",
+    "numpy.random.rand",
+    "numpy.random.randn",
+    "numpy.random.randint",
+    "numpy.random.random",
+    "numpy.random.random_sample",
+    "numpy.random.ranf",
+    "numpy.random.sample",
+    "numpy.random.choice",
+    "numpy.random.shuffle",
+    "numpy.random.permutation",
+    "numpy.random.uniform",
+    "numpy.random.normal",
+    "numpy.random.exponential",
+    "numpy.random.poisson",
+    "numpy.random.RandomState",
+    "numpy.random.set_state",
+    "time.time",
+    "time.time_ns",
+})
+
+
 @register
 class DeterminismRule(Rule):
     """Forbid global-RNG and wall-clock reads in result paths."""
@@ -101,9 +129,7 @@ class DeterminismRule(Rule):
     )
 
     def applies(self) -> bool:
-        return not self.ctx.in_packages(
-            self.config.det001_allow_modules
-        )
+        return not self.ctx.in_packages(DET001_ALLOW_MODULES)
 
     def visit_Call(self, node: ast.Call) -> None:
         name = self.ctx.resolve(node.func)
@@ -112,7 +138,7 @@ class DeterminismRule(Rule):
         self.generic_visit(node)
 
     def _check_call(self, node: ast.Call, name: str) -> None:
-        if name in self.config.det001_banned_calls:
+        if name in DET001_BANNED_CALLS:
             self.report(node, self._banned_message(name))
             return
         if name == "numpy.random.default_rng" and not node.args:
@@ -211,6 +237,25 @@ class DtypeRule(Rule):
 # ----------------------------------------------------------------------
 # MUT001 — parameter purity
 # ----------------------------------------------------------------------
+#: Module prefixes whose *public* functions must not mutate their
+#: array/sequence parameters in place.
+MUT001_PACKAGES: Tuple[str, ...] = (
+    "repro.geometry",
+    "repro.core",
+    "repro.estimators",
+)
+
+#: Method names on a parameter treated as in-place mutation.
+#: ``ndarray.partition`` is omitted: the name collides with the
+#: repository's own ``Partitioner.partition()`` protocol, which is
+#: pure.
+MUT001_MUTATING_METHODS: FrozenSet[str] = frozenset({
+    "sort", "fill", "resize", "put", "setflags", "itemset",
+    "append", "extend", "insert", "remove", "pop", "clear",
+    "reverse", "update", "setdefault", "popitem", "discard",
+})
+
+
 @register
 class MutationRule(Rule):
     """Forbid in-place mutation of parameters in public functions."""
@@ -222,7 +267,7 @@ class MutationRule(Rule):
     )
 
     def applies(self) -> bool:
-        return self.ctx.in_packages(self.config.mut001_packages)
+        return self.ctx.in_packages(MUT001_PACKAGES)
 
     # Only walk top-level and public-class functions; visit_ClassDef /
     # visit_FunctionDef below stop generic descent so nested/private
@@ -299,7 +344,7 @@ class MutationRule(Rule):
         func = node.func
         if not isinstance(func, ast.Attribute):
             return
-        if func.attr not in self.config.mut001_mutating_methods:
+        if func.attr not in MUT001_MUTATING_METHODS:
             return
         name = _root_name(func.value)
         if name in params:
@@ -388,6 +433,15 @@ def _root_name(node: ast.expr) -> Optional[str]:
 # ----------------------------------------------------------------------
 # OBS001 — metric-key discipline
 # ----------------------------------------------------------------------
+#: First dotted segment a metric key must start with: the
+#: registered-metric naming scheme of :mod:`repro.obs`.
+OBS_NAMESPACES: FrozenSet[str] = frozenset({
+    "bench", "build", "counting", "data", "equi_area", "equi_count",
+    "estimate", "estimator", "eval", "grid", "lint", "maintenance",
+    "minskew", "obs", "oracle", "partition", "progressive",
+    "rtree", "serving", "storage", "tuning", "workload",
+})
+
 _METRIC_KEY_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[A-Za-z0-9_\-]+)+$")
 _METRIC_PREFIX_RE = re.compile(r"^[a-z][a-z0-9_]*\.")
 _OBS_METHODS = frozenset({"add", "observe", "timer"})
@@ -473,8 +527,8 @@ class MetricKeyRule(Rule):
         self, node: ast.AST, key: str, method: str
     ) -> None:
         namespace = key.split(".", 1)[0]
-        if namespace not in self.config.obs_namespaces:
-            registered = ", ".join(sorted(self.config.obs_namespaces))
+        if namespace not in OBS_NAMESPACES:
+            registered = ", ".join(sorted(OBS_NAMESPACES))
             self.report(
                 node,
                 f"metric namespace {namespace!r} is not registered "
@@ -485,6 +539,19 @@ class MetricKeyRule(Rule):
 # ----------------------------------------------------------------------
 # API001 — annotation completeness
 # ----------------------------------------------------------------------
+#: Module prefixes whose public functions require complete type
+#: annotations (every parameter and the return type).
+API001_PACKAGES: Tuple[str, ...] = (
+    "repro.geometry",
+    "repro.obs",
+    "repro.core",
+    "repro.estimators",
+    "repro.analysis",
+    "repro.errors",
+    "repro.resilience",
+)
+
+
 @register
 class AnnotationRule(Rule):
     """Public functions in core packages must be fully annotated."""
@@ -496,7 +563,7 @@ class AnnotationRule(Rule):
     )
 
     def applies(self) -> bool:
-        return self.ctx.in_packages(self.config.api001_packages)
+        return self.ctx.in_packages(API001_PACKAGES)
 
     def visit_Module(self, node: ast.Module) -> None:
         for item in node.body:

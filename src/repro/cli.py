@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from .data import dataset_names, make_dataset
@@ -468,29 +467,25 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .analysis import (
-        DEFAULT_CONFIG,
         PROJECT_RULES,
         RULES,
-        apply_baseline,
+        LintConfig,
         lint_paths,
-        lint_project,
-        load_baseline,
         render_json,
-        render_sarif,
         render_text,
-        write_baseline,
     )
     from .errors import ValidationError
 
+    summaries = {code: rule.summary for code, rule in RULES.items()}
+    summaries.update(
+        (code, rule.summary) for code, rule in PROJECT_RULES.items()
+    )
     if args.list_rules:
-        for code, rule in sorted(RULES.items()):
-            print(f"{code}  {rule.summary}")
-        for code, project_rule in sorted(PROJECT_RULES.items()):
-            print(f"{code}  [project]  {project_rule.summary}")
+        for code, summary in sorted(summaries.items()):
+            print(f"{code}  {summary}")
         return 0
 
-    known = set(RULES) | set(PROJECT_RULES)
-    config = DEFAULT_CONFIG
+    config = LintConfig()
     if args.rules is not None:
         wanted = frozenset(
             part.strip().upper()
@@ -502,43 +497,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 hint="pass comma-separated codes, e.g. "
                      "--rules DET001,EPOCH001",
             )
-        unknown = wanted - known
+        unknown = wanted - set(summaries)
         if unknown:
             raise ValidationError(
                 f"unknown rule(s): {', '.join(sorted(unknown))}",
-                hint=f"known rules: {', '.join(sorted(known))}",
+                hint=f"known rules: {', '.join(sorted(summaries))}",
             )
-        project_only = wanted & set(PROJECT_RULES)
-        if project_only and not args.project:
-            raise ValidationError(
-                f"rule(s) {', '.join(sorted(project_only))} need the "
-                f"whole-program pass",
-                hint="add --project",
-            )
-        config = config.replace(select=wanted)
+        config = LintConfig(select=wanted)
 
-    paths = args.paths or ["src"]
-    if args.project:
-        result = lint_project(paths, config)
-    else:
-        result = lint_paths(paths, config)
-
-    if args.write_baseline:
-        count = write_baseline(result, args.write_baseline)
-        print(f"wrote {count} fingerprint"
-              f"{'s' if count != 1 else ''} to {args.write_baseline}")
-        return 0
-    if args.baseline:
-        result = apply_baseline(result, load_baseline(args.baseline))
-
-    if args.sarif:
-        Path(args.sarif).write_text(
-            render_sarif(result) + "\n", encoding="utf-8"
-        )
+    result = lint_paths(args.paths or ["src"], config)
     if args.format == "json":
         print(render_json(result))
-    elif args.format == "sarif":
-        print(render_sarif(result))
     else:
         print(render_text(result))
     return 0 if result.ok else 1
@@ -801,19 +770,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="run the repository's AST invariant linter "
-             "(per-file DET/NPY/MUT/OBS/API rules; --project adds "
-             "the cross-module EPOCH/PICKLE/SEED/ORDER/RES/SUP "
-             "pass)",
+        help="run the repository's AST invariant linter over the whole "
+             "tree: the per-module DET/NPY/MUT/OBS/API rules and the "
+             "whole-program EPOCH/SEED/ORDER/RES rules",
     )
     p.add_argument(
         "paths", nargs="*",
         help="files or directories to lint (default: src)",
     )
     p.add_argument(
-        "--format", default="text", choices=("text", "json", "sarif"),
-        help="report format (json follows the pinned report schema; "
-             "sarif emits SARIF 2.1.0)",
+        "--format", default="text", choices=("text", "json"),
+        help="report format (json follows the pinned report schema)",
     )
     p.add_argument(
         "--rules", default=None,
@@ -822,23 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--list-rules", action="store_true",
         help="print every registered rule and exit",
-    )
-    p.add_argument(
-        "--project", action="store_true",
-        help="run the whole-program pass: loads every module, builds "
-             "the call graph, and adds the cross-module rules",
-    )
-    p.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="drop findings fingerprinted in this committed baseline",
-    )
-    p.add_argument(
-        "--write-baseline", default=None, metavar="PATH",
-        help="snapshot current findings as a baseline and exit 0",
-    )
-    p.add_argument(
-        "--sarif", default=None, metavar="PATH",
-        help="also write a SARIF 2.1.0 report to PATH",
     )
     p.set_defaults(func=_cmd_lint)
 

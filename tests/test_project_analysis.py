@@ -1,23 +1,21 @@
 """Whole-program analysis tests: loader, call graph, rules, wiring.
 
-Covers, in ISSUE order:
+Covers:
 
 * **substrate**: module loading and symbol tables (aliased and
-  relative imports, attribute inventories with pickle-hazard flags),
-  call-graph construction over a fixture package (aliased imports,
-  method resolution through the MRO, cycles);
+  relative imports, the held-class attribute inventory), call-graph
+  construction over a fixture package (aliased imports, method
+  resolution through the MRO, cycles);
 * **dominance**: the path-sensitive revalidate-before-read analysis
   on straight-line code, branches, loops and try/except;
-* **the five cross-module rules** on small fixture packages, each
+* **the four whole-program rules** on small fixture packages, each
   with a firing and a clean variant;
-* **reporters**: JSON and SARIF round-trips through their validators;
-* **baseline**: write/load/apply round-trip and corruption errors;
-* **CLI**: the ``--project``/``--baseline``/``--sarif`` surface;
-* **the real tree**: ``src/`` lints clean under the project pass;
-* **mutation self-test**: deleting the ``sync()`` call, or giving a
-  pickled class a ``__getstate__`` without ``__setstate__``, in a
-  copy of the source tree flips the project pass non-zero — proof
-  the rules guard what they claim to.
+* **the lint pass and its CLI** over fixture trees: parse errors,
+  the JSON report, exit codes, ``--list-rules``;
+* **mutation self-test**: deleting a protocol obligation (a
+  ``sync()``/``_revalidate()`` call, a deadline check, a seed, a
+  ``sorted``) in a copy of the source tree flips the pass non-zero —
+  proof the rules guard what they claim to.
 """
 
 import ast
@@ -29,25 +27,17 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    DEFAULT_CONFIG,
     PROJECT_RULES,
     RULES,
-    apply_baseline,
-    fingerprint,
     lint_json_dict,
-    lint_project,
-    load_baseline,
+    lint_paths,
     load_project,
-    sarif_dict,
     validate_lint_json,
-    validate_sarif,
-    write_baseline,
 )
 from repro.analysis.project import CallGraph, undominated_reads
 from repro.analysis.project.dominance import EVENT_READ, \
     EVENT_REVALIDATE
 from repro.cli import main
-from repro.errors import ValidationError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
@@ -88,9 +78,8 @@ def project_of(root, modules):
     return project
 
 
-def rule_findings(code, project, config=DEFAULT_CONFIG):
-    rule = PROJECT_RULES[code](project, config)
-    return rule.run()
+def rule_findings(code, project):
+    return PROJECT_RULES[code](project).run()
 
 
 # ----------------------------------------------------------------------
@@ -156,30 +145,22 @@ class TestLoader:
         resolved = project.resolve_dotted("repro.app", ["Engine"])
         assert resolved == "repro.serving.engine.Engine"
 
-    def test_attribute_inventory_flags_hazards(self, tmp_path):
+    def test_attribute_inventory_records_held_classes(self, tmp_path):
         project = project_of(tmp_path, {
             "state.py": """
-                import threading
-
                 class Held:
                     pass
 
                 class Carrier:
                     def __init__(self, est):
-                        self._observed = {id(est): est}
-                        self._lock = threading.Lock()
-                        self._gen = (x for x in range(3))
                         self.child = Held()
                         self.plain = 4
             """,
         })
         info = project.classes["repro.state.Carrier"]
         attrs = info.attributes
-        assert attrs["_observed"].id_keyed
-        assert attrs["_lock"].lock
-        assert attrs["_gen"].generator
-        assert not attrs["plain"].risky
         assert attrs["child"].held_classes == {"repro.state.Held"}
+        assert attrs["plain"].held_classes == set()
 
     def test_mro_walks_project_bases(self, tmp_path):
         project = project_of(tmp_path, {
@@ -521,77 +502,6 @@ class TestEpoch001:
 
 
 # ----------------------------------------------------------------------
-# PICKLE001
-# ----------------------------------------------------------------------
-class TestPickle001:
-    def test_one_sided_hook_pair_fires_anywhere(self, tmp_path):
-        project = project_of(tmp_path, {
-            "anywhere.py": """
-                class Half:
-                    def __getstate__(self):
-                        return {}
-            """,
-        })
-        found = rule_findings("PICKLE001", project)
-        assert len(found) == 1
-        assert "__setstate__" in found[0].message
-
-    def test_reachable_risky_class_without_hooks_fires(
-        self, tmp_path
-    ):
-        # Engine is never passed to the boundary directly — it is
-        # reachable only as a held attribute of the pickled Shard.
-        project = project_of(tmp_path, {
-            "serving/engine.py": """
-                class Engine:
-                    def __init__(self, est):
-                        self._observed = {id(est): est}
-            """,
-            "serving/shard.py": """
-                from .engine import Engine
-
-                class Shard:
-                    def __init__(self):
-                        self.engine = Engine(None)
-            """,
-            "serving/router.py": """
-                import pickle
-                from .shard import Shard
-
-                def snapshot():
-                    shard = Shard()
-                    return pickle.dumps(shard)
-            """,
-        })
-        found = rule_findings("PICKLE001", project)
-        assert len(found) == 1
-        assert "Engine" in found[0].message
-        assert "id()-keyed dict" in found[0].message
-
-    def test_hook_pair_silences_reachability(self, tmp_path):
-        project = project_of(tmp_path, {
-            "serving/engine.py": """
-                import pickle
-
-                class Engine:
-                    def __init__(self, est):
-                        self._observed = {id(est): est}
-
-                    def __getstate__(self):
-                        return {}
-
-                    def __setstate__(self, state):
-                        self._observed = {}
-
-                def snapshot(engine):
-                    engine = Engine(None)
-                    return pickle.dumps(engine)
-            """,
-        })
-        assert rule_findings("PICKLE001", project) == []
-
-
-# ----------------------------------------------------------------------
 # SEED001
 # ----------------------------------------------------------------------
 class TestSeed001:
@@ -733,44 +643,9 @@ class TestOrder001:
 
 
 # ----------------------------------------------------------------------
-# SUP001 and the lint_project driver
+# the lint pass and its CLI
 # ----------------------------------------------------------------------
-class TestSup001AndDriver:
-    def test_unused_suppression_is_a_finding(self, tmp_path):
-        write_package(tmp_path, {
-            "clean.py": """
-                x = 1  # repro: noqa[DET001]
-            """,
-        })
-        result = lint_project([tmp_path / "repro"])
-        assert [v.rule for v in result.violations] == ["SUP001"]
-        assert "DET001" in result.violations[0].message
-
-    def test_used_suppression_is_clean_and_suppresses(self, tmp_path):
-        write_package(tmp_path, {
-            "timed.py": """
-                import time
-
-                def now():
-                    return time.time()  # repro: noqa[DET001]
-            """,
-        })
-        result = lint_project([tmp_path / "repro"])
-        assert result.ok, [v.format() for v in result.violations]
-
-    def test_noqa_text_in_docstring_is_not_a_suppression(
-        self, tmp_path
-    ):
-        write_package(tmp_path, {
-            "doc.py": '''
-                def f():
-                    """Write ``# repro: noqa[DET001]`` to waive."""
-                    return 1
-            ''',
-        })
-        result = lint_project([tmp_path / "repro"])
-        assert result.ok, [v.format() for v in result.violations]
-
+class TestDriver:
     def test_parse_error_is_reported_not_fatal(self, tmp_path):
         write_package(tmp_path, {
             "bad.py": """
@@ -780,137 +655,39 @@ class TestSup001AndDriver:
                 x = 1
             """,
         })
-        result = lint_project([tmp_path / "repro"])
+        result = lint_paths([tmp_path / "repro"])
         assert [v.rule for v in result.violations] == ["PARSE"]
 
 
-# ----------------------------------------------------------------------
-# reporters: JSON and SARIF round-trips
-# ----------------------------------------------------------------------
 class TestReporters:
-    def _result_with_findings(self, tmp_path):
-        write_package(tmp_path, _EPOCH_FINDING)
-        return lint_project([tmp_path / "repro"])
-
     def test_json_round_trip(self, tmp_path):
-        result = self._result_with_findings(tmp_path)
+        write_package(tmp_path, _EPOCH_FINDING)
+        result = lint_paths([tmp_path / "repro"])
         doc = json.loads(json.dumps(lint_json_dict(result)))
         validate_lint_json(doc)
         assert doc["summary"]["by_rule"] == {"EPOCH001": 1}
 
-    def test_sarif_round_trip(self, tmp_path):
-        result = self._result_with_findings(tmp_path)
-        doc = json.loads(json.dumps(sarif_dict(result)))
-        validate_sarif(doc)
-        run = doc["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        assert [r["ruleId"] for r in run["results"]] == ["EPOCH001"]
-        region = run["results"][0]["locations"][0][
-            "physicalLocation"]["region"]
-        assert region["startLine"] >= 1
-        assert region["startColumn"] >= 1
 
-    def test_sarif_declares_every_fired_rule(self, tmp_path):
-        result = self._result_with_findings(tmp_path)
-        doc = sarif_dict(result)
-        declared = {
-            r["id"]
-            for r in doc["runs"][0]["tool"]["driver"]["rules"]
-        }
-        fired = {
-            r["ruleId"] for r in doc["runs"][0]["results"]
-        }
-        assert fired <= declared
-
-
-# ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
-class TestBaseline:
-    def test_round_trip_hides_baselined_findings(self, tmp_path):
-        write_package(tmp_path, _EPOCH_FINDING)
-        result = lint_project([tmp_path / "repro"])
-        assert not result.ok
-        baseline_path = tmp_path / "baseline.json"
-        count = write_baseline(result, baseline_path)
-        assert count == 1
-        prints = load_baseline(baseline_path)
-        assert prints == {fingerprint(result.violations[0])}
-        filtered = apply_baseline(result, prints)
-        assert filtered.ok
-        assert filtered.files_checked == result.files_checked
-
-    def test_corrupt_baseline_raises_validation_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(ValidationError):
-            load_baseline(bad)
-        bad.write_text('{"version": 99, "fingerprints": []}')
-        with pytest.raises(ValidationError):
-            load_baseline(bad)
-        with pytest.raises(ValidationError):
-            load_baseline(tmp_path / "missing.json")
-
-
-# ----------------------------------------------------------------------
-# CLI wiring
-# ----------------------------------------------------------------------
 class TestCli:
     def test_project_pass_exits_on_findings(self, tmp_path, capsys):
         write_package(tmp_path, _EPOCH_FINDING)
-        code = main(["lint", "--project", str(tmp_path / "repro")])
+        code = main(["lint", str(tmp_path / "repro")])
         out = capsys.readouterr().out
         assert code == 1
         assert "EPOCH001" in out
 
-    def test_write_then_apply_baseline(self, tmp_path, capsys):
-        write_package(tmp_path, _EPOCH_FINDING)
-        baseline = tmp_path / "baseline.json"
-        assert main([
-            "lint", "--project", str(tmp_path / "repro"),
-            "--write-baseline", str(baseline),
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "lint", "--project", str(tmp_path / "repro"),
-            "--baseline", str(baseline),
-        ]) == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_sarif_output_and_file(self, tmp_path, capsys):
-        write_package(tmp_path, {"ok.py": "x = 1\n"})
-        sarif_path = tmp_path / "out.sarif"
-        assert main([
-            "lint", "--project", str(tmp_path / "repro"),
-            "--format", "sarif", "--sarif", str(sarif_path),
-        ]) == 0
-        stdout_doc = json.loads(capsys.readouterr().out)
-        validate_sarif(stdout_doc)
-        validate_sarif(json.loads(sarif_path.read_text()))
-
     def test_list_rules_shows_both_registries(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for code in list(RULES) + list(PROJECT_RULES):
-            assert code in out
-        assert "[project]" in out
+        listed = [
+            line.split()[0]
+            for line in capsys.readouterr().out.splitlines()
+        ]
+        assert listed == sorted(list(RULES) + list(PROJECT_RULES))
 
 
 # ----------------------------------------------------------------------
-# the real tree, and the mutation self-test
+# the mutation self-test
 # ----------------------------------------------------------------------
-class TestRealTree:
-    def test_src_lints_clean_under_project_pass(self):
-        result = lint_project([SRC])
-        assert result.ok, "\n".join(
-            v.format() for v in result.violations
-        )
-
-    def test_committed_baseline_is_empty(self):
-        prints = load_baseline(REPO_ROOT / "lint-baseline.json")
-        assert prints == frozenset()
-
-
 #: ``BucketEstimator._estimate_batch``'s revalidation, and the mutant
 #: that deletes it (the kernel read then runs unsynced)
 _SYNCED_BATCH = (
@@ -928,11 +705,38 @@ def tree_copy(tmp_path):
     return target
 
 
+#: ``ShardRouter.estimate_batch``'s tier-kernel refresh, and the mutant
+#: that serves without it
+_REVALIDATED_SCATTER = (
+    "            self._revalidate()\n"
+    "            return self._scatter_gather(queries)\n"
+)
+_UNREVALIDATED_SCATTER = "            return self._scatter_gather(queries)\n"
+
+
+def _drop_router_revalidate(tree):
+    router = tree / "serving" / "router.py"
+    source = router.read_text()
+    assert source.count(_REVALIDATED_SCATTER) == 1, (
+        "ShardRouter.estimate_batch no longer matches the mutation "
+        "template; update this test alongside the router"
+    )
+    router.write_text(
+        source.replace(_REVALIDATED_SCATTER, _UNREVALIDATED_SCATTER)
+    )
+
+
+def _fired(result, rule):
+    fired = [v for v in result.violations if v.rule == rule]
+    assert fired, "\n".join(v.format() for v in result.violations)
+    return fired
+
+
 class TestMutationSelfTest:
     """Deleting a protocol obligation must flip the pass non-zero."""
 
     def test_unmutated_copy_is_clean(self, tree_copy):
-        assert lint_project([tree_copy]).ok
+        assert lint_paths([tree_copy]).ok
 
     def test_removing_revalidate_call_fires_epoch001(self, tree_copy):
         bucket = tree_copy / "estimators" / "bucket_estimator.py"
@@ -942,11 +746,7 @@ class TestMutationSelfTest:
             "update this test alongside the bucket estimator"
         )
         bucket.write_text(source.replace(_SYNCED_BATCH, _UNSYNCED_BATCH))
-        result = lint_project([tree_copy])
-        fired = [
-            v for v in result.violations if v.rule == "EPOCH001"
-        ]
-        assert fired, "\n".join(v.format() for v in result.violations)
+        fired = _fired(lint_paths([tree_copy]), "EPOCH001")
         assert any(
             "BucketEstimator._estimate_batch" in v.message for v in fired
         )
@@ -955,68 +755,20 @@ class TestMutationSelfTest:
         """The inline router reads its tier kernel (``self._arrays``)
         on every batch; serving without the epoch refresh must flip
         the pass."""
-        router = tree_copy / "serving" / "router.py"
-        source = router.read_text()
-        guarded = (
-            "            self._revalidate()\n"
-            "            return self._scatter_gather(queries)\n"
-        )
-        assert source.count(guarded) == 1, (
-            "ShardRouter.estimate_batch no longer matches the mutation "
-            "template; update this test alongside the router"
-        )
-        router.write_text(source.replace(
-            guarded, "            return self._scatter_gather(queries)\n"
-        ))
-        result = lint_project([tree_copy])
-        fired = [
-            v for v in result.violations if v.rule == "EPOCH001"
-        ]
-        assert fired, "\n".join(v.format() for v in result.violations)
+        _drop_router_revalidate(tree_copy)
+        fired = _fired(lint_paths([tree_copy]), "EPOCH001")
         assert any(
             "ShardRouter.estimate_batch" in v.message for v in fired
         )
 
-    def test_removing_setstate_fires_pickle001(self, tree_copy):
-        """The hook-pair check applies to every class, pickled or not:
-        ``HistogramShard`` defines neither hook, and the mutant gives
-        it a ``__getstate__`` whose ``__setstate__`` is missing."""
-        shard = tree_copy / "serving" / "shard.py"
-        source = shard.read_text()
-        tree = ast.parse(source)
-        cls = next(
-            node for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef)
-            and node.name == "HistogramShard"
-        )
-        assert not any(
-            isinstance(item, ast.FunctionDef)
-            and item.name in ("__getstate__", "__setstate__")
-            for item in cls.body
-        ), (
-            "HistogramShard defines a pickle hook again; update this "
-            "test alongside the shard"
-        )
-        lines = source.splitlines(keepends=True)
-        lines.insert(cls.end_lineno, (
-            "\n"
-            "    def __getstate__(self):\n"
-            "        return dict(self.__dict__)\n"
-        ))
-        shard.write_text("".join(lines))
-        result = lint_project([tree_copy])
-        pickled = [
-            v for v in result.violations if v.rule == "PICKLE001"
-        ]
-        assert pickled, "\n".join(
-            v.format() for v in result.violations
-        )
-        # the hook-pair check fires on the one-sided shard
-        assert any(
-            "without __setstate__" in v.message
-            and "HistogramShard" in v.message
-            for v in pickled
-        )
+    def test_selected_project_rule_runs_in_the_one_pass(
+        self, tree_copy, capsys
+    ):
+        """``--rules`` selects a whole-program rule like any other."""
+        assert main(["lint", "--rules", "EPOCH001", str(SRC)]) == 0
+        _drop_router_revalidate(tree_copy)
+        assert main(["lint", "--rules", "EPOCH001", str(tree_copy)]) == 1
+        assert "ShardRouter.estimate_batch" in capsys.readouterr().out
 
     def test_removing_deadline_check_fires_res002(self, tree_copy):
         parallel = tree_copy / "serving" / "parallel.py"
@@ -1029,18 +781,12 @@ class TestMutationSelfTest:
             "update this test alongside the worker pool"
         )
         parallel.write_text(source.replace(guarded, "pass\n"))
-        result = lint_project([tree_copy])
-        fired = [
-            v for v in result.violations if v.rule == "RES002"
-        ]
-        assert fired, "\n".join(
-            v.format() for v in result.violations
-        )
+        fired = _fired(lint_paths([tree_copy]), "RES002")
         assert any(
             "not dominated by a deadline" in v.message
             for v in fired
         )
-        assert main(["lint", "--project", str(tree_copy)]) == 1
+        assert main(["lint", str(tree_copy)]) == 1
 
     def test_bypassing_replace_buckets_fires_epoch001(
         self, tree_copy
@@ -1057,20 +803,54 @@ class TestMutationSelfTest:
         feedback.write_text(source.replace(
             guarded, "hist.buckets = list(buckets)"
         ))
-        result = lint_project([tree_copy])
-        fired = [
-            v for v in result.violations if v.rule == "EPOCH001"
-        ]
-        assert fired, "\n".join(
-            v.format() for v in result.violations
-        )
+        fired = _fired(lint_paths([tree_copy]), "EPOCH001")
         assert any(
             "replace_buckets" in v.message for v in fired
         )
+
+    def test_unseeding_range_queries_fires_seed001(self, tree_copy):
+        """``range_queries`` threads its ``seed`` into ``_as_rng``;
+        passing ``None`` there instead builds an unseeded generator."""
+        queries = tree_copy / "workload" / "queries.py"
+        source = queries.read_text()
+        seeded = (
+            '            f"choose from {CENTER_MODES}"\n'
+            "        )\n"
+            "    gen = _as_rng(seed)\n"
+        )
+        assert source.count(seeded) == 1, (
+            "range_queries no longer matches the mutation template; "
+            "update this test alongside the query generator"
+        )
+        queries.write_text(source.replace(
+            seeded, seeded.replace("_as_rng(seed)", "_as_rng(None)")
+        ))
+        fired = _fired(lint_paths([tree_copy]), "SEED001")
+        assert any(
+            "None" in v.message and "_as_rng" in v.message
+            for v in fired
+        )
+
+    def test_summing_over_a_set_fires_order001(self, tree_copy):
+        """``MaintainedHistogram.estimate`` sums its buckets in list
+        order; summing over ``set(self.buckets)`` would make the last
+        ulp depend on hash order."""
+        maintenance = tree_copy / "core" / "maintenance.py"
+        source = maintenance.read_text()
+        ordered = "b.estimate(query) for b in self.buckets"
+        assert source.count(ordered) == 1, (
+            "MaintainedHistogram.estimate no longer matches the "
+            "mutation template; update this test alongside it"
+        )
+        maintenance.write_text(source.replace(
+            ordered, "b.estimate(query) for b in set(self.buckets)"
+        ))
+        fired = _fired(lint_paths([tree_copy]), "ORDER001")
+        assert any("unordered set" in v.message for v in fired)
 
     def test_cli_exits_nonzero_on_mutated_tree(self, tree_copy):
         bucket = tree_copy / "estimators" / "bucket_estimator.py"
         source = bucket.read_text()
         assert _SYNCED_BATCH in source
         bucket.write_text(source.replace(_SYNCED_BATCH, _UNSYNCED_BATCH))
-        assert main(["lint", "--project", str(tree_copy)]) == 1
+        assert main(["lint", str(tree_copy)]) == 1

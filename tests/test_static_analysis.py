@@ -9,9 +9,9 @@ Three layers:
 * **per-rule fixtures**: for each rule, snippets that must flag and
   snippets that must pass, so rule behaviour is pinned independently
   of the current state of the tree;
-* **framework behaviour**: suppression comments, alias resolution,
-  reporters (text + schema-checked JSON), CLI wiring, and the
-  optional mypy/ruff gates (skipped where the tools are absent).
+* **framework behaviour**: alias resolution, reporters (text +
+  schema-checked JSON), CLI wiring, and the optional mypy/ruff gates
+  (skipped where the tools are absent).
 """
 
 import json
@@ -25,7 +25,9 @@ import pytest
 from repro.analysis import (
     DEFAULT_CONFIG,
     PARSE_RULE,
+    PROJECT_RULES,
     RULES,
+    LintConfig,
     Violation,
     lint_json_dict,
     lint_paths,
@@ -54,8 +56,7 @@ def codes(violations):
 def lint_only(source, path, *rules):
     """Lint with only the named rules enabled (fixture isolation:
     un-annotated fixture defs must not trip API001 in a DET001 test)."""
-    config = DEFAULT_CONFIG.replace(select=frozenset(rules))
-    return lint_source(source, path, config)
+    return lint_source(source, path, LintConfig(select=frozenset(rules)))
 
 
 # ----------------------------------------------------------------------
@@ -69,10 +70,14 @@ class TestRepositoryGate:
 
     def test_every_registered_rule_ran_over_real_tree(self):
         # A rule that silently never applies is a dead rule; each one
-        # must at least be exercised by the fixtures below, and the
-        # registry must carry exactly the documented codes.
+        # must at least be exercised by the fixtures (here and in
+        # test_project_analysis.py), and the two registries the one
+        # pass runs must carry exactly the documented codes.
         assert set(RULES) == {
             "DET001", "NPY001", "MUT001", "OBS001", "API001",
+        }
+        assert set(PROJECT_RULES) == {
+            "EPOCH001", "SEED001", "ORDER001", "RES002",
         }
 
 
@@ -382,51 +387,6 @@ class TestAPI001:
 
 
 # ----------------------------------------------------------------------
-# suppressions
-# ----------------------------------------------------------------------
-class TestSuppressions:
-    SOURCE = (
-        "import time\n"
-        "def f():\n"
-        "    return time.time(){comment}\n"
-    )
-
-    def test_targeted_noqa_suppresses(self):
-        source = self.SOURCE.format(comment="  # repro: noqa[DET001]")
-        assert lint_only(source, CORE_PATH, "DET001") == []
-
-    def test_bare_noqa_suppresses_everything(self):
-        # One bare ``# repro: noqa`` silences every rule on its line.
-        source = (
-            "import time\n"
-            "def f(a):\n"
-            "    a[0] = time.time()  # repro: noqa\n"
-        )
-        assert lint_only(source, CORE_PATH, "DET001", "MUT001") == []
-
-    def test_wrong_rule_does_not_suppress(self):
-        source = self.SOURCE.format(comment="  # repro: noqa[NPY001]")
-        assert codes(lint_only(source, CORE_PATH, "DET001")) == ["DET001"]
-
-    def test_noqa_on_other_line_does_not_suppress(self):
-        source = (
-            "import time  # repro: noqa[DET001]\n"
-            "def f():\n"
-            "    return time.time()\n"
-        )
-        assert codes(lint_only(source, CORE_PATH, "DET001")) == ["DET001"]
-
-    def test_multiple_rules_in_one_comment(self):
-        source = (
-            "import time\n"
-            "def f(a):\n"
-            "    a[0] = time.time()"
-            "  # repro: noqa[DET001, MUT001]\n"
-        )
-        assert lint_only(source, CORE_PATH, "DET001", "MUT001") == []
-
-
-# ----------------------------------------------------------------------
 # engine behaviour
 # ----------------------------------------------------------------------
 class TestEngine:
@@ -473,7 +433,7 @@ class TestEngine:
             "def f(a):\n"
             "    a[0] = time.time()\n"
         )
-        config = DEFAULT_CONFIG.replace(select=frozenset({"MUT001"}))
+        config = LintConfig(select=frozenset({"MUT001"}))
         assert codes(lint_source(source, CORE_PATH, config)) == ["MUT001"]
 
     def test_violations_are_ordered(self):
@@ -571,10 +531,21 @@ class TestCli:
         assert err.startswith("repro-spatial: error: ValidationError:")
         assert "selects no rules" in err
 
-    def test_lint_project_rule_needs_project_flag(self, capsys):
-        assert main(["lint", "--rules", "EPOCH001", str(SRC)]) == 1
-        err = capsys.readouterr().err
-        assert "--project" in err
+    def test_importing_cli_does_not_load_the_linter(self):
+        probe = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('repro.analysis')))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**__import__("os").environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
 
     def test_failing_subcommand_prints_one_line_error(self, capsys):
         exit_code = main(["lint", "/no/such/target"])
