@@ -11,7 +11,8 @@ Covers:
 * **the four whole-program rules** on small fixture packages, each
   with a firing and a clean variant;
 * **the lint pass and its CLI** over fixture trees: parse errors,
-  the JSON report, exit codes, ``--list-rules``;
+  the JSON report, exit codes, ``--list-rules``; and the
+  whole-program rules, selected alone, over the real ``src/`` tree;
 * **mutation self-test**: deleting a protocol obligation (a
   ``sync()``/``_revalidate()`` call, a deadline check, a seed, a
   ``sorted``) in a copy of the source tree flips the pass non-zero —
@@ -29,6 +30,7 @@ import pytest
 from repro.analysis import (
     PROJECT_RULES,
     RULES,
+    LintConfig,
     lint_json_dict,
     lint_paths,
     load_project,
@@ -683,6 +685,17 @@ class TestCli:
             for line in capsys.readouterr().out.splitlines()
         ]
         assert listed == sorted(list(RULES) + list(PROJECT_RULES))
+
+
+class TestRealTree:
+    def test_src_lints_clean_under_project_pass(self):
+        # the whole-program rules alone, selected through the one pass
+        config = LintConfig(select=frozenset(PROJECT_RULES))
+        result = lint_paths([SRC], config)
+        assert result.files_checked > 50
+        assert result.ok, "\n".join(
+            v.format() for v in result.violations
+        )
 
 
 # ----------------------------------------------------------------------
